@@ -27,13 +27,11 @@ from .partitions import (
     Partition,
     dominance_leq,
     dual_partition,
-    enumerate_partitions,
     orbit_dim,
     partition_count,
     partition_tuples,
-    refines,
 )
-from .rationals import Rat, parse_rat, rat, rat_decimal, rat_str
+from .rationals import InputError, parse_rat, rat_decimal, rat_str
 from .segments import (
     Multisegment,
     Segment,
@@ -66,11 +64,11 @@ __all__ = [
     "DecayResult",
     "FigureRow",
     "GenArthurParam",
+    "InputError",
     "InvariantReport",
     "MaximizerReport",
     "Multisegment",
     "Partition",
-    "Rat",
     "Segment",
     "SupercuspidalLabel",
     "SweepSummary",
@@ -81,7 +79,6 @@ __all__ = [
     "dominance_leq",
     "dominates",
     "dual_partition",
-    "enumerate_partitions",
     "figure_rows",
     "fixed_vector_exponent",
     "genbound_exponent",
@@ -95,10 +92,8 @@ __all__ = [
     "partition_tuples",
     "precedes",
     "prefix_sums",
-    "rat",
     "rat_decimal",
     "rat_str",
-    "refines",
     "relative_exponents",
     "report_for_arthur_partition",
     "report_for_rep",

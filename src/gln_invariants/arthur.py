@@ -3,7 +3,7 @@
 A unitarizable irreducible of GL_N is a sum of twisted summands
 |.|^x rho[a][d]; twists are zero (Arthur type) or occur in +/- pairs with
 0 < |x| < 1/2.  This module expands such data to its Langlands and Zelevinsky
-multisegments, computes the a <-> d duality swap, the (augmented) Arthur-SL2
+multisegments, computes the a <-> d duality swap, the Arthur-SL2
 partition, the character, the GK-dimension, and the normalized
 non-genericity parameter g.
 """
@@ -17,7 +17,15 @@ from typing import Iterable, Iterator
 
 from .decay import CharacterList, ExponentList
 from .partitions import Partition
-from .rationals import parse_rat, rat_str
+from .rationals import (
+    InputError,
+    check_positive_int,
+    json_fields,
+    json_list,
+    parse_rat,
+    rat_str,
+    read_at,
+)
 from .segments import Multisegment, Segment, SupercuspidalLabel
 
 
@@ -32,14 +40,14 @@ class ArthurSummand:
     x: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or self.a < 1:
-            raise ValueError(f"a must be a positive integer, got {self.a!r}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        check_positive_int(self.a, "a")
+        check_positive_int(self.d, "d")
         object.__setattr__(self, "x", Fraction(self.x))
         if abs(self.x) >= Fraction(1, 2):
-            raise ValueError(
-                f"twist x must lie strictly inside (-1/2, 1/2), got {self.x}"
+            raise InputError(
+                "x",
+                "twist must lie strictly inside the open interval (-1/2, 1/2), "
+                f"got {rat_str(self.x)}",
             )
 
     @property
@@ -55,12 +63,13 @@ class ArthurSummand:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ArthurSummand":
+    def from_json(cls, data) -> "ArthurSummand":
+        rho, a, d = json_fields(data, "rho", "a", "d")
         return cls(
-            rho=SupercuspidalLabel.from_json(data["rho"]),
-            a=data["a"],
-            d=data["d"],
-            x=parse_rat(str(data.get("x", "0"))),
+            read_at("rho", SupercuspidalLabel.from_json, rho),
+            a,
+            d,
+            read_at("x", parse_rat, str(data.get("x", "0"))),
         )
 
 
@@ -82,16 +91,19 @@ class UnitaryRep:
     def __init__(self, summands: Iterable[ArthurSummand], *, _check_pairing: bool = True):
         ss = tuple(sorted(summands, key=_summand_sort_key))
         if not ss:
-            raise ValueError("representation needs at least one summand")
+            raise InputError("summands", "representation needs at least one summand")
         dims = {}
         for s in ss:
             if dims.setdefault(s.rho.id, s.rho.dim) != s.rho.dim:
-                raise ValueError(f"label {s.rho.id!r} used with inconsistent dimensions")
+                raise InputError(
+                    "summands", f"label {s.rho.id!r} used with inconsistent dimensions"
+                )
         if _check_pairing:
             twisted = Counter((s.rho, s.a, s.d, s.x) for s in ss if s.x != 0)
             for (rho, a, d, x), mult in twisted.items():
                 if twisted.get((rho, a, d, -x), 0) != mult:
-                    raise ValueError(
+                    raise InputError(
+                        "summands",
                         f"twisted summand {rho.id}[{a}][{d}] with x={x} must be "
                         f"paired with the opposite twist -x"
                     )
@@ -164,14 +176,6 @@ class UnitaryRep:
             parts.extend([s.d] * (s.rho.dim * s.a))
         return Partition(parts)
 
-    def arthur_sl2_augmented(self) -> tuple[tuple[Fraction, int], ...]:
-        """Multiset of (x, d) pairs with the same multiplicities as
-        :meth:`arthur_sl2`."""
-        pairs = []
-        for s in self.summands:
-            pairs.extend([(s.x, s.d)] * (s.rho.dim * s.a))
-        return tuple(sorted(pairs, key=lambda p: (-p[1], -p[0])))
-
     def gk_dim(self) -> Fraction:
         """Half of N^2 minus the sum of d^2 over the Arthur-SL2 entries."""
         n = self.N
@@ -201,8 +205,8 @@ class UnitaryRep:
         return {"summands": [s.to_json() for s in self.summands]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "UnitaryRep":
-        return cls(ArthurSummand.from_json(d) for d in data["summands"])
+    def from_json(cls, data) -> "UnitaryRep":
+        return cls(json_list(data, "summands", ArthurSummand.from_json))
 
 
 def simple_exponent(rho_dim: int, a: int, d: int) -> ExponentList:

@@ -25,10 +25,6 @@ class BoundExponent:
     epsilon_slack: bool
     description: str
 
-    def growth(self, q: float, ell: float) -> float:
-        """Display helper: q^(ell * coeff).  Not used in any exact check."""
-        return float(q) ** (float(ell) * float(self.coeff))
-
 
 def fixed_vector_exponent(m: Multisegment) -> BoundExponent:
     """Fixed-vector growth exponent for Zelevinsky data: equals the

@@ -15,15 +15,16 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import IO, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
-from .arthur import ArthurSummand, SupercuspidalLabel, UnitaryRep
+from .arthur import UnitaryRep
 from .bounds import fixed_vector_exponent, hch_coefficient_exponent, relative_exponents
 from .decay import decay_t
 from .partitions import partition_tuples
-from .rationals import parse_rat, rat_decimal, rat_str
-from .segments import Multisegment, Segment
+from .rationals import InputError, parse_rat, rat_decimal, rat_str
+from .segments import Multisegment
 from .verify import (
     ConsistencyBudget,
     InvariantReport,
@@ -43,90 +44,7 @@ EXIT_IO = 4
 THREADS_ENV_VAR = "GLN_INVARIANTS_THREADS"
 
 
-class ParseError(ValueError):
-    """Input rejected; ``field`` names the offending location."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-
-
-def _require(data: dict, field: str, path: str):
-    if field not in data:
-        raise ParseError(f"{path}.{field}" if path else field, "missing required field")
-    return data[field]
-
-
-def _parse_label(data, path: str) -> SupercuspidalLabel:
-    if not isinstance(data, dict):
-        raise ParseError(path, "expected an object with 'id' and 'dim'")
-    label_id = _require(data, "id", path)
-    dim = _require(data, "dim", path)
-    if not isinstance(label_id, str) or not label_id:
-        raise ParseError(f"{path}.id", "must be a non-empty string")
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError(f"{path}.dim", "must be a positive integer")
-    return SupercuspidalLabel(label_id, dim)
-
-
-def _parse_rational(value, path: str) -> Fraction:
-    try:
-        return parse_rat(str(value))
-    except ValueError:
-        raise ParseError(path, f"not an exact rational: {value!r}") from None
-
-
-def _parse_segment(data, path: str) -> Segment:
-    if not isinstance(data, dict):
-        raise ParseError(path, "expected a segment object")
-    rho = _parse_label(_require(data, "rho", path), f"{path}.rho")
-    a = _parse_rational(_require(data, "a", path), f"{path}.a")
-    b = _parse_rational(_require(data, "b", path), f"{path}.b")
-    if (b - a).denominator != 1 or b < a:
-        raise ParseError(
-            f"{path}.b", f"b - a must be a non-negative integer, got {rat_str(b - a)}"
-        )
-    return Segment(rho, a, b)
-
-
-def _parse_multisegment(data: dict) -> Multisegment:
-    segs = data["segments"]
-    if not isinstance(segs, list) or not segs:
-        raise ParseError("segments", "expected a non-empty list of segments")
-    parsed = [_parse_segment(s, f"segments[{i}]") for i, s in enumerate(segs)]
-    try:
-        return Multisegment(parsed)
-    except ValueError as exc:
-        raise ParseError("segments", str(exc)) from None
-
-
-def _parse_summand(data, path: str) -> ArthurSummand:
-    if not isinstance(data, dict):
-        raise ParseError(path, "expected a summand object")
-    rho = _parse_label(_require(data, "rho", path), f"{path}.rho")
-    a = _require(data, "a", path)
-    d = _require(data, "d", path)
-    for name, value in (("a", a), ("d", d)):
-        if not isinstance(value, int) or value < 1:
-            raise ParseError(f"{path}.{name}", "must be a positive integer")
-    x = _parse_rational(data.get("x", "0"), f"{path}.x")
-    if abs(x) >= Fraction(1, 2):
-        raise ParseError(
-            f"{path}.x",
-            f"twist must lie strictly inside the open interval (-1/2, 1/2), got {rat_str(x)}",
-        )
-    return ArthurSummand(rho, a, d, x)
-
-
-def _parse_unitary(data: dict) -> UnitaryRep:
-    summands = data["summands"]
-    if not isinstance(summands, list) or not summands:
-        raise ParseError("summands", "expected a non-empty list of summands")
-    parsed = [_parse_summand(s, f"summands[{i}]") for i, s in enumerate(summands)]
-    try:
-        return UnitaryRep(parsed)
-    except ValueError as exc:
-        raise ParseError("summands", str(exc)) from None
+ParseError = InputError
 
 
 def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
@@ -144,9 +62,9 @@ def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
     if not isinstance(data, dict):
         raise ParseError("<input>", "expected a JSON object")
     if "summands" in data:
-        return _parse_unitary(data)
+        return UnitaryRep.from_json(data)
     if "segments" in data:
-        return _parse_multisegment(data)
+        return Multisegment.from_json(data)
     raise ParseError(
         "<input>", "expected 'summands' (unitarizable form) or 'segments' (multisegment)"
     )
@@ -293,7 +211,7 @@ def _emit_summary(summary: SweepSummary, what: str, args, out: IO[str]) -> int:
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
         if args.threads < 1:
             raise ParseError("--threads", "must be a positive integer")
         return args.threads
@@ -314,10 +232,14 @@ def _read_input(args) -> str:
         return handle.read()
 
 
-def _open_out(args) -> tuple[IO[str], bool]:
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline="\n"), True
-    return sys.stdout, False
+@contextmanager
+def _output(args) -> Iterator[IO[str]]:
+    """The file named by ``--out`` (closed on exit), or stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+    else:
+        yield sys.stdout
 
 
 def _cmd_invariants(args) -> int:
@@ -327,16 +249,12 @@ def _cmd_invariants(args) -> int:
         if isinstance(rep, UnitaryRep)
         else _multisegment_invariants(rep)
     )
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.format == "csv":
             _flatten_csv(data, out)
         else:
             json.dump(data, out, indent=2)
             out.write("\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -348,24 +266,16 @@ def _cmd_dual(args) -> int:
             "dual requires the unitarizable summand form; "
             "general multisegment duality is not supported",
         )
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         json.dump(rep.az_dual().to_json(), out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def _cmd_verify_arthur(args) -> int:
     summary = verify_uncertainty_arthur(args.N, threads=_resolve_threads(args))
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         return _emit_summary(summary, "partitions", args, out)
-    finally:
-        if close:
-            out.close()
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -377,18 +287,11 @@ def _parse_grid(text: str) -> list[Fraction]:
 
 def _cmd_verify_unitary(args) -> int:
     grid = _parse_grid(args.twist_grid)
-    try:
-        summary = verify_uncertainty_unitary(
-            args.N, grid, max_summands=args.max_summands, threads=_resolve_threads(args)
-        )
-    except ValueError as exc:
-        raise ParseError("--twist-grid", str(exc)) from None
-    out, close = _open_out(args)
-    try:
+    summary = verify_uncertainty_unitary(
+        args.N, grid, max_summands=args.max_summands, threads=_resolve_threads(args)
+    )
+    with _output(args) as out:
         return _emit_summary(summary, "unitarizable cases", args, out)
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_verify_consistency(args) -> int:
@@ -405,22 +308,15 @@ def _cmd_verify_consistency(args) -> int:
         seed=args.seed,
         threads=_resolve_threads(args),
     )
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         return _emit_summary(summary, "representations", args, out)
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_figure(args) -> int:
-    out, close = _open_out(args)
-    try:
-        count, violations = write_figure_csv(args.N, out, threads=_resolve_threads(args))
-    finally:
-        if close:
-            out.close()
-    if close:
+    threads = _resolve_threads(args)
+    with _output(args) as out:
+        count, violations = write_figure_csv(args.N, out, threads=threads)
+    if args.out:
         print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     if violations:
         print(f"{violations} rows violate a bound", file=sys.stderr)
@@ -429,16 +325,12 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         for parts in partition_tuples(args.N):
             if args.format == "json":
                 out.write(json.dumps(list(parts)) + "\n")
             else:
                 out.write("+".join(str(p) for p in parts) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -513,9 +405,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

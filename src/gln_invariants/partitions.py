@@ -102,44 +102,6 @@ def dominance_leq(p1: Partition, p2: Partition) -> bool:
     return True
 
 
-def refines(p1: Partition, p2: Partition) -> bool:
-    """Literal part-splitting refinement: p1's parts can be grouped to give p2's.
-
-    Strictly weaker than dominance (e.g. [2,2] vs [3,1] are dominance-comparable
-    but not refinement-comparable).  Provided for reference; the closure order
-    used everywhere else in this package is :func:`dominance_leq`.
-    """
-    a = list(p1.parts if isinstance(p1, Partition) else sorted(p1, reverse=True))
-    b = list(p2.parts if isinstance(p2, Partition) else sorted(p2, reverse=True))
-    if sum(a) != sum(b):
-        raise ValueError("refinement compares partitions of equal sum")
-
-    def match(targets: list[int], pool: list[int]) -> bool:
-        if not targets:
-            return not pool
-        target, rest = targets[0], targets[1:]
-
-        def pick(remaining: int, start: int, used: list[int]) -> bool:
-            if remaining == 0:
-                new_pool = pool.copy()
-                for u in used:
-                    new_pool.remove(u)
-                return match(rest, new_pool)
-            prev = None
-            for k in range(start, len(pool)):
-                v = pool[k]
-                if v == prev or v > remaining:
-                    continue
-                prev = v
-                if pick(remaining - v, k + 1, used + [v]):
-                    return True
-            return False
-
-        return pick(target, 0, [])
-
-    return match(b, a)
-
-
 def orbit_dim(p: Partition | Iterable[int]) -> int:
     """Dimension of the nilpotent orbit attached to p: N^2 minus the sum of the
     squares of the dual parts.  Always even and non-negative."""
@@ -173,12 +135,6 @@ def partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
             c = val if val < rest else rest
             parts.append(c)
             rest -= c
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Stream of all Partition objects of n in reverse-lexicographic order."""
-    for t in partition_tuples(n):
-        yield Partition._from_sorted(t)
 
 
 def partition_count(n: int) -> int:

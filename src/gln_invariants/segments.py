@@ -14,7 +14,15 @@ from typing import Iterable, Iterator
 
 from .decay import CharacterList
 from .partitions import Partition, dual_partition, orbit_dim
-from .rationals import parse_rat, rat_str
+from .rationals import (
+    InputError,
+    check_positive_int,
+    json_fields,
+    json_list,
+    parse_rat,
+    rat_str,
+    read_at,
+)
 
 
 @dataclass(frozen=True)
@@ -25,15 +33,16 @@ class SupercuspidalLabel:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"label dimension must be a positive integer, got {self.dim!r}")
+        if not isinstance(self.id, str) or not self.id:
+            raise InputError("id", "must be a non-empty string")
+        check_positive_int(self.dim, "dim")
 
     def to_json(self) -> dict:
         return {"id": self.id, "dim": self.dim}
 
     @classmethod
-    def from_json(cls, data: dict) -> "SupercuspidalLabel":
-        return cls(id=str(data["id"]), dim=data["dim"])
+    def from_json(cls, data) -> "SupercuspidalLabel":
+        return cls(*json_fields(data, "id", "dim"))
 
 
 class Segment:
@@ -51,7 +60,7 @@ class Segment:
         b = Fraction(b) + t
         span = b - a
         if span.denominator != 1 or span < 0:
-            raise ValueError(f"b - a must be a non-negative integer, got {span}")
+            raise InputError("b", f"b - a must be a non-negative integer, got {rat_str(span)}")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -86,9 +95,13 @@ class Segment:
         return {"rho": self.rho.to_json(), "a": rat_str(self.a), "b": rat_str(self.b)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Segment":
-        rho = SupercuspidalLabel.from_json(data["rho"])
-        return cls(rho, parse_rat(str(data["a"])), parse_rat(str(data["b"])))
+    def from_json(cls, data) -> "Segment":
+        rho, a, b = json_fields(data, "rho", "a", "b")
+        return cls(
+            read_at("rho", SupercuspidalLabel.from_json, rho),
+            read_at("a", parse_rat, str(a)),
+            read_at("b", parse_rat, str(b)),
+        )
 
 
 def is_linked(s1: Segment, s2: Segment) -> bool:
@@ -133,11 +146,13 @@ class Multisegment:
     def __init__(self, segments: Iterable[Segment]):
         segs = tuple(sorted(segments, key=_segment_sort_key))
         if not segs:
-            raise ValueError("multisegment must contain at least one segment")
+            raise InputError("segments", "multisegment must contain at least one segment")
         dims = {}
         for s in segs:
             if dims.setdefault(s.rho.id, s.rho.dim) != s.rho.dim:
-                raise ValueError(f"label {s.rho.id!r} used with inconsistent dimensions")
+                raise InputError(
+                    "segments", f"label {s.rho.id!r} used with inconsistent dimensions"
+                )
         object.__setattr__(self, "segments", segs)
 
     def __setattr__(self, name, value):
@@ -163,11 +178,6 @@ class Multisegment:
     @property
     def total_dim(self) -> int:
         return sum(s.ambient_dim for s in self.segments)
-
-    def ordered(self) -> tuple[Segment, ...]:
-        """The segments in an order where no earlier element precedes a later
-        one (this is the storage order)."""
-        return self.segments
 
     def partition(self) -> Partition:
         """Segment lengths, each with the multiplicity of its label dimension."""
@@ -204,8 +214,8 @@ class Multisegment:
         return {"segments": [s.to_json() for s in self.segments]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Multisegment":
-        return cls(Segment.from_json(d) for d in data["segments"])
+    def from_json(cls, data) -> "Multisegment":
+        return cls(json_list(data, "segments", Segment.from_json))
 
 
 def gk_dim_from_wavefront(m: Multisegment) -> Fraction:

@@ -20,12 +20,13 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
 from .decay import _max_ratio_scan, decay_t, decay_t_arthur
 from .partitions import Partition, dual_partition, partition_count, partition_tuples
-from .rationals import rat_decimal
+from .rationals import InputError, check_positive_int, rat_decimal
 from .segments import SupercuspidalLabel
 
 FIGURE_CSV_HEADER = (
@@ -80,6 +81,11 @@ class SweepSummary:
             min_gap_lower=_min(self.min_gap_lower, other.min_gap_lower),
             min_gap_upper=_min(self.min_gap_upper, other.min_gap_upper),
         )
+
+
+def _fold(N: Optional[int], worker, jobs: list, threads: int) -> SweepSummary:
+    """Merge the summaries the worker returns for each job into one."""
+    return reduce(SweepSummary.merge, _map_chunks(worker, jobs, threads), SweepSummary(N=N))
 
 
 def report_for_rep(pi: UnitaryRep) -> InvariantReport:
@@ -162,26 +168,28 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     return num, den
 
 
-def _arthur_chunk(job) -> tuple:
+def _partition_stats(parts: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
+    """Integer invariants of the Arthur-type representation whose Arthur-SL2
+    is ``parts`` (a partition of n): s = sum of d(d-1), so g = s/(n(n-1));
+    the sum of d^2, so d_GK = (n^2 - sum)/2; and the closed-form t as an
+    unreduced (numerator, denominator)."""
+    sq = 0
+    for d in parts:
+        sq += d * d
+    d1 = parts[0]
+    if d1 == 1:
+        return sq - n, sq, 0, 1
+    return sq - n, sq, d1 - 1, n - parts.count(d1)
+
+
+def _arthur_chunk(job) -> SweepSummary:
     n, chunk = job
     nn1 = n * (n - 1)
-    count = 0
     failures = []
     min_low = None  # (num, den) of t - g
     min_up = None  # (num, den) of g - t^2
     for parts in chunk:
-        count += 1
-        d1 = parts[0]
-        a1 = 0
-        s = 0
-        for d in parts:
-            s += d * (d - 1)
-            if d == d1:
-                a1 += 1
-        if d1 == 1:
-            tn, td = 0, 1
-        else:
-            tn, td = d1 - 1, n - a1
+        s, _, tn, td = _partition_stats(parts, n)
         scan_n, scan_d = _scan_two_xi(parts, n)
         notes = []
         if scan_n * td != tn * scan_d:
@@ -189,7 +197,8 @@ def _arthur_chunk(job) -> tuple:
         lower_ok = s * td <= tn * nn1
         upper_ok = tn * tn * nn1 <= s * td * td
         if notes or not lower_ok or not upper_ok:
-            failures.append(_failure_report(parts, notes))
+            report = report_for_arthur_partition(parts)
+            failures.append(_failure_report(report, notes, lower_ok, upper_ok, "t^2 <= g"))
             continue
         low = (tn * nn1 - s * td, td * nn1)
         if min_low is None or low[0] * min_low[1] < min_low[0] * low[1]:
@@ -197,17 +206,25 @@ def _arthur_chunk(job) -> tuple:
         up = (s * td * td - tn * tn * nn1, nn1 * td * td)
         if min_up is None or up[0] * min_up[1] < min_up[0] * up[1]:
             min_up = up
-    return count, failures, min_low, min_up
+    return SweepSummary(
+        N=n,
+        count=len(chunk),
+        failures=failures,
+        min_gap_lower=None if min_low is None else Fraction(*min_low),
+        min_gap_upper=None if min_up is None else Fraction(*min_up),
+    )
 
 
-def _failure_report(parts: tuple[int, ...], notes: list[str]) -> InvariantReport:
-    report = report_for_arthur_partition(parts)
-    extra = "; ".join(notes)
-    if not report.lower_ok:
-        extra = (extra + "; " if extra else "") + "lower bound g <= t failed"
-    if not report.upper_ok:
-        extra = (extra + "; " if extra else "") + "upper bound t^2 <= g failed"
-    return replace(report, note=extra)
+def _failure_report(
+    report: InvariantReport, notes: list[str], lower_ok: bool, upper_ok: bool, upper: str
+) -> InvariantReport:
+    """``report`` noting each failed cross-check in ``notes`` and each failed
+    bound, the upper one stated as ``upper``."""
+    if not lower_ok:
+        notes.append("lower bound g <= t failed")
+    if not upper_ok:
+        notes.append(f"upper bound {upper} failed")
+    return replace(report, note="; ".join(notes))
 
 
 def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
@@ -217,17 +234,7 @@ def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
         raise ValueError("sweep requires N >= 2")
     size = _chunk_size(partition_count(N), threads)
     jobs = [(N, chunk) for chunk in _chunked(partition_tuples(N), size)]
-    summary = SweepSummary(N=N)
-    for count, failures, min_low, min_up in _map_chunks(_arthur_chunk, jobs, threads):
-        part = SweepSummary(
-            N=N,
-            count=count,
-            failures=failures,
-            min_gap_lower=None if min_low is None else Fraction(*min_low),
-            min_gap_upper=None if min_up is None else Fraction(*min_up),
-        )
-        summary = summary.merge(part)
-    return summary
+    return _fold(N, _arthur_chunk, jobs, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +257,7 @@ def _figure_chunk(job) -> list[tuple]:
     nsq = n * n
     rows = []
     for offset, parts in enumerate(chunk):
-        d1 = parts[0]
-        a1 = 0
-        s = 0
-        sq = 0
-        for d in parts:
-            s += d * (d - 1)
-            sq += d * d
-            if d == d1:
-                a1 += 1
-        if d1 == 1:
-            tn, td = 0, 1
-        else:
-            tn, td = d1 - 1, n - a1
+        s, sq, tn, td = _partition_stats(parts, n)
         d_gk = (nsq - sq) // 2
         lower_ok = s * td <= tn * nn1
         upper_ok = tn * tn * nn1 <= s * td * td
@@ -385,15 +380,13 @@ def _rep_from_groups(case: Sequence[tuple[int, int, Fraction]]) -> UnitaryRep:
     return UnitaryRep(summands)
 
 
-def _unitary_chunk(job) -> tuple:
+def _unitary_chunk(job) -> SweepSummary:
     n, chunk = job
     two_over_n = Fraction(2, n)
-    count = 0
     failures = []
     min_low = None
     min_up = None
     for case in chunk:
-        count += 1
         pi = _rep_from_groups(case)
         g = pi.non_genericity()
         t = decay_t(pi.character()).t
@@ -407,12 +400,9 @@ def _unitary_chunk(job) -> tuple:
         upper_ok = shifted * shifted <= g
         if notes or not lower_ok or not upper_ok:
             report = report_for_rep(pi)
-            extra = "; ".join(notes)
-            if not lower_ok:
-                extra = (extra + "; " if extra else "") + "lower bound g <= t failed"
-            if not upper_ok:
-                extra = (extra + "; " if extra else "") + "upper bound (t - 2/N)^2 <= g failed"
-            failures.append(replace(report, note=extra))
+            failures.append(
+                _failure_report(report, notes, lower_ok, upper_ok, "(t - 2/N)^2 <= g")
+            )
             continue
         low = t - g
         if min_low is None or low < min_low:
@@ -420,7 +410,9 @@ def _unitary_chunk(job) -> tuple:
         up = g - shifted * shifted
         if min_up is None or up < min_up:
             min_up = up
-    return count, failures, min_low, min_up
+    return SweepSummary(
+        N=n, count=len(chunk), failures=failures, min_gap_lower=min_low, min_gap_upper=min_up
+    )
 
 
 def verify_uncertainty_unitary(
@@ -435,24 +427,14 @@ def verify_uncertainty_unitary(
     most ``max_summands`` summand groups and twists drawn from the grid."""
     if N < 2:
         raise ValueError("sweep requires N >= 2")
+    check_positive_int(max_summands, "max_summands")
     grid = [Fraction(y) for y in twist_grid]
     for y in grid:
         if not 0 < y < Fraction(1, 2):
-            raise ValueError(f"twist grid values must lie strictly in (0, 1/2), got {y}")
+            raise InputError("twist_grid", f"values must lie strictly in (0, 1/2), got {y}")
     cases = list(_unitary_cases(N, grid, max_summands))
     jobs = [(N, chunk) for chunk in _chunked(cases, _chunk_size(len(cases), threads, 200))]
-    summary = SweepSummary(N=N)
-    for count, failures, min_low, min_up in _map_chunks(_unitary_chunk, jobs, threads):
-        summary = summary.merge(
-            SweepSummary(
-                N=N,
-                count=count,
-                failures=failures,
-                min_gap_lower=min_low,
-                min_gap_upper=min_up,
-            )
-        )
-    return summary
+    return _fold(N, _unitary_chunk, jobs, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +443,20 @@ def verify_uncertainty_unitary(
 
 @dataclass(frozen=True)
 class ConsistencyBudget:
-    """Limits for the exhaustive summand sweep."""
+    """Limits for the exhaustive summand sweep; each is a positive integer
+    (``max_total_dim`` may be None, for no cap)."""
 
     max_summands: int = 4
     max_dim: int = 3
     max_a: int = 4
     max_d: int = 4
     max_total_dim: Optional[int] = None
+
+    def __post_init__(self):
+        for name in ("max_summands", "max_dim", "max_a", "max_d"):
+            check_positive_int(getattr(self, name), name)
+        if self.max_total_dim is not None:
+            check_positive_int(self.max_total_dim, "max_total_dim")
 
 
 def _consistency_shapes(budget: ConsistencyBudget) -> list[tuple[int, int, int]]:
@@ -518,39 +507,34 @@ def _consistency_failure(pi: UnitaryRep, notes: list[str]) -> InvariantReport:
     return report
 
 
-def _consistency_exhaustive_chunk(job) -> tuple:
+def _consistency_exhaustive_chunk(job) -> SweepSummary:
+    """Check the slice [start, stop) of the summand multisets within the budget."""
     budget, start, stop = job
     shapes = _consistency_shapes(budget)
-    count = 0
-    failures = []
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(len(shapes)), k)
         for k in range(1, budget.max_summands + 1)
     )
+    cases = []
     for combo in itertools.islice(combos, start, stop):
         specs = [(g,) + shapes[i] + (0, 1) for g, i in enumerate(combo, start=1)]
         if budget.max_total_dim is not None:
             if sum(dim * a * d for _, dim, a, d, _, _ in specs) > budget.max_total_dim:
                 continue
-        count += 1
-        pi = _rep_from_specs(specs)
-        notes = _check_consistency_rep(pi)
-        if notes:
-            failures.append(_consistency_failure(pi, notes))
-    return count, failures, None, None
+        cases.append(specs)
+    return _consistency_random_chunk((budget.max_total_dim, cases))
 
 
-def _consistency_random_chunk(job) -> tuple:
-    specs_chunk = job
-    count = 0
+def _consistency_random_chunk(job) -> SweepSummary:
+    """Check each case, given by its summand specs, by both routes."""
+    n, cases = job
     failures = []
-    for specs in specs_chunk:
-        count += 1
+    for specs in cases:
         pi = _rep_from_specs(specs)
         notes = _check_consistency_rep(pi)
         if notes:
             failures.append(_consistency_failure(pi, notes))
-    return count, failures, None, None
+    return SweepSummary(N=n, count=len(cases), failures=failures)
 
 
 def _random_case_specs(
@@ -602,8 +586,8 @@ def verify_consistency(
     zero), then over ``random_cases`` sampled cases that also include +/-
     twisted pairs.
     """
-    if budget.max_total_dim is not None and budget.max_total_dim < 1:
-        raise ValueError("the total-dimension cap must be a positive integer")
+    if random_cases < 0:
+        raise InputError("random_cases", "must be a non-negative integer")
     shapes = _consistency_shapes(budget)
     total = sum(
         math.comb(len(shapes) + k - 1, k) for k in range(1, budget.max_summands + 1)
@@ -613,15 +597,8 @@ def verify_consistency(
     for start in range(0, total, size):
         jobs.append((budget, start, min(start + size, total)))
 
-    summary = SweepSummary(N=budget.max_total_dim)
-    for count, failures, _, _ in _map_chunks(_consistency_exhaustive_chunk, jobs, threads):
-        summary = summary.merge(SweepSummary(N=summary.N, count=count, failures=failures))
-
-    if random_cases > 0:
-        cases = _random_case_specs(budget, random_cases, seed)
-        rjobs = list(_chunked(cases, _chunk_size(len(cases), threads, 500)))
-        for count, failures, _, _ in _map_chunks(_consistency_random_chunk, rjobs, threads):
-            summary = summary.merge(
-                SweepSummary(N=summary.N, count=count, failures=failures)
-            )
-    return summary
+    summary = _fold(budget.max_total_dim, _consistency_exhaustive_chunk, jobs, threads)
+    cases = _random_case_specs(budget, random_cases, seed)
+    size = _chunk_size(len(cases), threads, 500)
+    rjobs = [(budget.max_total_dim, chunk) for chunk in _chunked(cases, size)]
+    return summary.merge(_fold(budget.max_total_dim, _consistency_random_chunk, rjobs, threads))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from gln_invariants.arthur import ArthurSummand, UnitaryRep, simple_exponent
 from gln_invariants.decay import dominates
 from gln_invariants.partitions import Partition, dual_partition
+from gln_invariants.rationals import InputError
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
 from conftest import arthur_reps, unitary_reps
@@ -36,6 +37,23 @@ def test_summand_validation():
     with pytest.raises(ValueError):
         ArthurSummand(R1, 1, 1, Fraction(-1, 2))
     assert ArthurSummand(R1, 2, 3).dim == 6
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"summands": [{"rho": {"id": 5, "dim": 1}, "a": 1, "d": 1}]}, "summands[0].rho.id"),
+        ({"summands": [{"rho": {"id": "r", "dim": 1}, "a": 1}]}, "summands[0].d"),
+        ({"summands": [{"rho": {"id": "r", "dim": 1}, "a": 1, "d": 1.0}]}, "summands[0].d"),
+        ({"summands": [{"rho": {"id": "r", "dim": 1}, "a": 1, "d": 1, "x": "y"}]}, "summands[0].x"),
+        ({"summands": [{"rho": {"id": "r", "dim": 1}, "a": 1, "d": 1}, "s"]}, "summands[1]"),
+        ({"summands": []}, "summands"),
+    ],
+)
+def test_from_json_names_the_field(data, field):
+    with pytest.raises(InputError) as exc:
+        UnitaryRep.from_json(data)
+    assert exc.value.field == field
 
 
 def test_pairing_enforced_by_default():

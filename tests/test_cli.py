@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gln_invariants.cli import main, parse_rep
 from gln_invariants.arthur import UnitaryRep
 from gln_invariants.partitions import partition_count
@@ -115,6 +117,20 @@ def test_missing_field_named(tmp_path, capsys):
     assert "summands[0].d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"summands": [{"rho": {"id": "r", "dim": True}, "a": 1, "d": 2}]}, "summands[0].rho.dim"),
+        ({"summands": [{"rho": {"id": "r", "dim": 1}, "a": True, "d": 2}]}, "summands[0].a"),
+        ({"segments": [{"rho": {"id": "r", "dim": True}, "a": "0", "b": "1"}]}, "segments[0].rho.dim"),
+    ],
+)
+def test_json_boolean_is_not_an_integer(tmp_path, capsys, bad, field):
+    path = write(tmp_path, "bad.json", bad)
+    assert main(["invariants", "--input", path]) == 2
+    assert f"{field}: must be a positive integer" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_exit_4(tmp_path, capsys):
     assert main(["invariants", "--input", str(tmp_path / "nope.json")]) == 4
     assert "i/o error" in capsys.readouterr().err
@@ -188,6 +204,24 @@ def test_verify_consistency_cli(capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["verify-unitary", "--N", "6", "--max-summands", "0"], "max_summands"),
+        (["verify-consistency", "--N", "6", "--max-dim", "0", "--random-cases", "0"], "max_dim"),
+        (["verify-consistency", "--N", "6", "--max-dim", "0"], "max_dim"),
+        (["verify-consistency", "--N", "6", "--max-a", "-3"], "max_a"),
+        (["verify-consistency", "--N", "0"], "max_total_dim"),
+        (["verify-consistency", "--N", "6", "--random-cases", "-1"], "random_cases"),
+    ],
+)
+def test_empty_sweep_budget_rejected(capsys, argv, field):
+    assert main(argv + ["--threads", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {field}: must be a " in captured.err
+
+
 def test_figure_cli_writes_csv(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     assert main(["figure", "--N", "8", "--out", str(out), "--threads", "1"]) == 0
@@ -217,6 +251,9 @@ def test_partitions_cli_json(capsys):
 def test_threads_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GLN_INVARIANTS_THREADS", "1")
     assert main(["verify-arthur", "--N", "6"]) == 0
+    capsys.readouterr()
+    assert main(["verify-arthur", "--N", "6", "--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
     monkeypatch.setenv("GLN_INVARIANTS_THREADS", "zero")
     assert main(["verify-arthur", "--N", "6"]) == 2
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gln_invariants.partitions import Partition, partition_count
+from gln_invariants.rationals import InputError
 from gln_invariants.verify import (
     ConsistencyBudget,
     FIGURE_CSV_HEADER,
@@ -109,6 +110,23 @@ def test_consistency_total_dim_cap():
         ConsistencyBudget(max_summands=2, max_dim=2, max_a=2, max_d=2), random_cases=0
     )
     assert summary.count - 50 < uncapped.count
+
+
+def test_budgets_must_admit_a_case():
+    for field in ("max_summands", "max_dim", "max_a", "max_d", "max_total_dim"):
+        with pytest.raises(InputError) as exc:
+            ConsistencyBudget(**{field: 0})
+        assert exc.value.field == field
+    with pytest.raises(InputError) as exc:
+        verify_consistency(ConsistencyBudget(max_summands=1), random_cases=-1)
+    assert exc.value.field == "random_cases"
+    with pytest.raises(InputError) as exc:
+        verify_uncertainty_unitary(4, [Fraction(1, 4)], max_summands=0)
+    assert exc.value.field == "max_summands"
+    # the smallest budgets still check one case: shape (1,1,1), group (N,1,0)
+    smallest = ConsistencyBudget(max_summands=1, max_dim=1, max_a=1, max_d=1, max_total_dim=1)
+    assert verify_consistency(smallest, random_cases=0).count == 1
+    assert verify_uncertainty_unitary(4, [], max_summands=1).count == 3  # [1][4], [2][2], [4][1]
 
 
 def test_consistency_thread_determinism():
