@@ -2,7 +2,7 @@
 p-adic GL_N: multisegment data, wavefront sets, GK-dimensions, growth
 exponents, matrix-coefficient decay, and exhaustive theorem verification."""
 
-from .arthur import ArthurSummand, UnitaryRep, simple_exponent
+from .arthur import ArthurSummand, UnitaryRep
 from .bounds import (
     BoundExponent,
     GenArthurParam,
@@ -97,7 +97,6 @@ __all__ = [
     "relative_exponents",
     "report_for_arthur_partition",
     "report_for_rep",
-    "simple_exponent",
     "speh_exponent",
     "verify_consistency",
     "verify_uncertainty_arthur",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .decay import CharacterList, ExponentList
+from .decay import CharacterList
 from .partitions import Partition
 from .rationals import (
     InputError,
@@ -185,12 +185,13 @@ class UnitaryRep:
     def character(self) -> CharacterList:
         """Character multiset: for each augmented entry (x, d) the string
         x + (d-1)/2, x + (d-3)/2, ..., x + (1-d)/2."""
-        vals = []
+        counts: dict[Fraction, int] = {}
         for s in self.summands:
             mult = s.rho.dim * s.a
             for k in range(s.d - 1, -s.d, -2):
-                vals.extend([s.x + Fraction(k, 2)] * mult)
-        return CharacterList(vals)
+                value = s.x + Fraction(k, 2)
+                counts[value] = counts.get(value, 0) + mult
+        return CharacterList(counts)
 
     def non_genericity(self) -> Fraction:
         """g = 1 - gk_dim / (N(N-1)/2), in [0, 1]; 0 for generic data and 1
@@ -208,14 +209,3 @@ class UnitaryRep:
     def from_json(cls, data) -> "UnitaryRep":
         return cls(json_list(data, "summands", ArthurSummand.from_json))
 
-
-def simple_exponent(rho_dim: int, a: int, d: int) -> ExponentList:
-    """Ordered exponent of rho[a][d]: the value (-d-1+2i)/2 repeated
-    rho_dim * a times for i = 1..d, in ascending blocks."""
-    if rho_dim < 1 or a < 1 or d < 1:
-        raise ValueError("rho_dim, a, d must be positive integers")
-    mult = rho_dim * a
-    out = []
-    for i in range(1, d + 1):
-        out.extend([Fraction(-d - 1 + 2 * i, 2)] * mult)
-    return tuple(out)

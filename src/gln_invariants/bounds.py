@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .partitions import Partition, orbit_dim
+from .rationals import InputError, check_positive_int, json_fields, json_list
 from .segments import Multisegment
 
 
@@ -112,12 +113,12 @@ class GenArthurParam:
     summands: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        ss = tuple((int(n), int(d)) for n, d in self.summands)
-        for n, d in ss:
-            if n < 1 or d < 1:
-                raise ValueError("summand entries must be positive integers")
+        ss = tuple((n, d) for n, d in self.summands)
+        for i, (n, d) in enumerate(ss):
+            check_positive_int(n, f"summands[{i}].n")
+            check_positive_int(d, f"summands[{i}].d")
         if not ss:
-            raise ValueError("parameter needs at least one summand")
+            raise InputError("summands", "parameter needs at least one summand")
         object.__setattr__(self, "summands", ss)
 
     @property
@@ -128,8 +129,8 @@ class GenArthurParam:
         return {"summands": [{"n": n, "d": d} for n, d in self.summands]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "GenArthurParam":
-        return cls(tuple((s["n"], s["d"]) for s in data["summands"]))
+    def from_json(cls, data) -> "GenArthurParam":
+        return cls(tuple(json_list(data, "summands", lambda s: tuple(json_fields(s, "n", "d")))))
 
 
 def genbound_exponent(param: GenArthurParam) -> BoundExponent:

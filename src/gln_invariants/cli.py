@@ -95,20 +95,18 @@ def _report_json(report: InvariantReport) -> dict:
 
 
 def _unitary_invariants(pi: UnitaryRep) -> dict:
-    out = {
-        "type": "unitarizable",
-        "N": pi.N,
-        "arthur_type": pi.is_arthur_type,
-        "arthur_sl2": list(pi.arthur_sl2()),
-        "wavefront": list(pi.arthur_sl2().dual()),
-        "d_gk": _rat_json(pi.gk_dim()),
-        "character": [rat_str(v) for v in pi.character()],
-    }
-    if pi.N >= 2:
-        out.update(_report_json(report_for_rep(pi)))
+    n = pi.N
+    if n >= 2:
+        report = _report_json(report_for_rep(pi))
     else:
-        out.update({"g": None, "t": None, "p": None, "maximizers": [],
-                    "lower_ok": None, "upper_ok": None})
+        a_sl2 = pi.arthur_sl2()
+        report = {"arthur_sl2": list(a_sl2), "wavefront": list(a_sl2.dual()),
+                  "d_gk": _rat_json(pi.gk_dim()), "g": None, "t": None, "p": None,
+                  "maximizers": [], "lower_ok": None, "upper_ok": None}
+    out = {"type": "unitarizable", "N": n, "arthur_type": pi.is_arthur_type}
+    out.update((key, report.pop(key)) for key in ("arthur_sl2", "wavefront", "d_gk"))
+    out["character"] = [rat_str(v) for v in pi.character()]
+    out.update(report)
     return out
 
 
@@ -123,26 +121,26 @@ def _exponent_json(exp) -> dict:
 def _multisegment_invariants(m: Multisegment) -> dict:
     n = m.total_dim
     d_gk = m.gk_dim()
+    wavefront = m.wavefront()
+    xi = m.character()
     rel_plain, rel_weighted = relative_exponents(m)
     out = {
         "type": "multisegment",
         "N": n,
         "partition": list(m.partition()),
-        "wavefront": list(m.wavefront()),
+        "wavefront": list(wavefront),
         "d_gk": _rat_json(d_gk),
         "g": _rat_json(1 - d_gk / Fraction(n * (n - 1), 2)) if n >= 2 else None,
         "exponents": {
             "fixed_vector": _exponent_json(fixed_vector_exponent(m)),
             "relative": _exponent_json(rel_plain),
             "relative_with_multiplicity": _exponent_json(rel_weighted),
-            "hch_at_wavefront": _exponent_json(
-                hch_coefficient_exponent(m, m.wavefront())
-            ),
+            "hch_at_wavefront": _exponent_json(hch_coefficient_exponent(m, wavefront)),
         },
         "langlands_reading": {
-            "character": [rat_str(v) for v in m.character()],
+            "character": [rat_str(v) for v in xi],
             "is_tempered": m.is_tempered(),
-            "t": _rat_json(decay_t(m.character()).t) if n >= 2 else None,
+            "t": _rat_json(decay_t(xi).t) if n >= 2 else None,
         },
     }
     return out
@@ -227,8 +225,8 @@ def _resolve_threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _read_input(args) -> str:
-    with open(args.input, "r", encoding="utf-8") as handle:
+def _read_input(args) -> bytes:
+    with open(args.input, "rb") as handle:
         return handle.read()
 
 

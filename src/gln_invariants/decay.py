@@ -7,65 +7,88 @@ prefix sums sigma_i of the non-increasing rearrangement.  For Arthur-type
 data there is a closed form depending only on the largest entry of the
 attached partition and its multiplicity; both routes are implemented and
 cross-checked in the test suite, never trusted alone.
+
+A character has one form, :class:`CharacterList`: integer run-length blocks
+over one common denominator.  The scans read those integers; ``Fraction`` is
+built only where a value leaves the API.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .partitions import Partition
 
-# Exponents are order-significant tuples of rationals; prefix-sum domination
-# compares them.
-ExponentList = tuple[Fraction, ...]
+
+def expand_blocks(blocks: Iterable[tuple]) -> list:
+    """Run-length blocks (value, multiplicity) as the flat list of values."""
+    out = []
+    for value, mult in blocks:
+        out.extend([value] * mult)
+    return out
 
 
 class CharacterList:
-    """Multiset of rational twist exponents, stored sorted non-increasing.
+    """Multiset of rational twist exponents in integer-scaled run-length form:
+    ``unit`` is the lcm of the value denominators and ``blocks`` holds one
+    ``(value * unit, multiplicity)`` pair per distinct value, values
+    decreasing.  Built from the values or from a mapping value -> multiplicity;
+    iteration and ``values`` give the values non-increasing, as ``Fraction``s.
 
     The characters produced by the classification of the unitary dual are
     symmetric under negation; arbitrary multisets are accepted so the decay
     formula can be evaluated on any input.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("unit", "blocks")
 
-    def __init__(self, values: Iterable[Fraction | int]):
-        object.__setattr__(
-            self, "values", tuple(sorted((Fraction(v) for v in values), reverse=True))
+    def __init__(self, values: Iterable[Fraction | int] | Mapping[Fraction | int, int]):
+        items = values.items() if isinstance(values, Mapping) else Counter(values).items()
+        counts = {Fraction(value): mult for value, mult in items}
+        unit = math.lcm(*(v.denominator for v in counts))
+        blocks = sorted(
+            ((v.numerator * (unit // v.denominator), mult) for v, mult in counts.items()),
+            reverse=True,
         )
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def __setattr__(self, name, value):
         raise AttributeError("CharacterList is immutable")
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        unit = self.unit
+        return tuple(expand_blocks((Fraction(v, unit), mult) for v, mult in self.blocks))
+
     def __len__(self) -> int:
-        return len(self.values)
+        return sum(mult for _, mult in self.blocks)
 
     def __iter__(self):
         return iter(self.values)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CharacterList):
-            return self.values == other.values
-        if isinstance(other, (tuple, list)):
-            return self.values == tuple(Fraction(v) for v in other)
+            return self.unit == other.unit and self.blocks == other.blocks
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        return hash((self.unit, self.blocks))
 
     def __repr__(self) -> str:
         return f"CharacterList({list(self.values)})"
 
     def is_negation_symmetric(self) -> bool:
-        vals = self.values
-        return all(vals[i] == -vals[len(vals) - 1 - i] for i in range(len(vals)))
+        return all(
+            v == -w and mult == other
+            for (v, mult), (w, other) in zip(self.blocks, reversed(self.blocks))
+        )
 
 
 @dataclass(frozen=True)
@@ -88,7 +111,7 @@ class DecayResult:
         return 2 / (1 - self.t)
 
 
-def prefix_sums(values: Sequence[Fraction | int]) -> ExponentList:
+def prefix_sums(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """Running sums sigma_i = a_1 + ... + a_i, one per index."""
     out = []
     total = Fraction(0)
@@ -133,26 +156,17 @@ def _max_ratio_scan(scaled: Sequence[int], unit: int) -> tuple[int, int, list[in
     return best_n, best_d, maximizers
 
 
-def _scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators: returns (integer list, common denominator)."""
-    unit = 1
-    for v in values:
-        unit = unit * v.denominator // math.gcd(unit, v.denominator)
-    return [v.numerator * (unit // v.denominator) for v in values], unit
-
-
 def decay_t(xi: CharacterList | Sequence[Fraction | int]) -> DecayResult:
     """t = max over 1 <= i <= N-1 of 2*sigma_i(xi) / (i(N-i)), exactly.
 
-    ``xi`` is treated as a multiset and rearranged non-increasing before the
-    scan.  Requires N >= 2.
+    ``xi`` is treated as a multiset, scanned in non-increasing order.
+    Requires N >= 2.
     """
-    vals = sorted((Fraction(v) for v in xi), reverse=True)
-    n = len(vals)
-    if n < 2:
+    if not isinstance(xi, CharacterList):
+        xi = CharacterList(xi)
+    if len(xi) < 2:
         raise ValueError("decay requires a character of length >= 2")
-    scaled, unit = _scaled_ints(vals)
-    num, den, maxima = _max_ratio_scan(scaled, unit)
+    num, den, maxima = _max_ratio_scan(expand_blocks(xi.blocks), xi.unit)
     t = Fraction(num, den)
     return DecayResult(t=t, p_is_infinite=(t == 1), maximizers=frozenset(maxima))
 
@@ -192,10 +206,11 @@ def maximizer_certificate(xi: CharacterList | Sequence[Fraction | int]) -> Maxim
     all-zero character (no positive block) is degenerate and passes by
     convention.
     """
-    vals = sorted((Fraction(v) for v in xi), reverse=True)
-    n = len(vals)
-
-    scaled, unit = _scaled_ints(vals)
+    if not isinstance(xi, CharacterList):
+        xi = CharacterList(xi)
+    n = len(xi)
+    unit = xi.unit
+    scaled = expand_blocks(xi.blocks)
     best_n = best_d = 0
     argmax: list[int] = []
     sigma = 0
@@ -207,15 +222,7 @@ def maximizer_certificate(xi: CharacterList | Sequence[Fraction | int]) -> Maxim
         elif sigma * best_d == best_n * den:
             argmax.append(i)
 
-    boundaries: list[int] = []
-    i = 0
-    while i < n and vals[i] > 0:
-        j = i
-        while j < n and vals[j] == vals[i]:
-            j += 1
-        boundaries.append(j)
-        i = j
-
+    boundaries = list(itertools.accumulate(mult for v, mult in xi.blocks if v > 0))
     contained = (not boundaries) or set(argmax) <= set(boundaries)
     return MaximizerReport(
         argmax=frozenset(argmax),

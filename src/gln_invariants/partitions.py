@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .rationals import check_positive_int
+
 
 class Partition:
     """Non-increasing tuple of positive integers; ``n`` is their sum.
@@ -21,10 +23,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        ps = sorted(parts, reverse=True)
-        for p in ps:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"partition parts must be positive integers, got {p!r}")
+        ps = list(parts)
+        for i, p in enumerate(ps):
+            check_positive_int(p, f"parts[{i}]")
+        ps.sort(reverse=True)
         if not ps:
             raise ValueError("partition must have at least one part")
         object.__setattr__(self, "parts", tuple(ps))

@@ -1,9 +1,10 @@
 """Exact rational parsing and rendering, and the input error the models raise.
 
-Every invariant in this package is a rational number and is computed with
-``fractions.Fraction`` (arbitrary-precision, always in lowest terms with a
-positive denominator).  Floats never enter a computation; they appear only
-in rendering helpers for CSV/JSON output columns.
+Every invariant in this package is an exact rational number.  Characters
+are integers over one common denominator (``decay.CharacterList``);
+``fractions.Fraction`` is built at the API edge (parsing, rendering) and in
+the models not yet moved to integers.  Floats never enter a computation;
+they appear only in rendering helpers for CSV/JSON output columns.
 
 The models (labels, summands, segments and their sums) check their own
 fields and read their own JSON with the helpers below, so every input check

@@ -200,10 +200,11 @@ class Multisegment:
     def character(self) -> CharacterList:
         """Character multiset (Langlands reading): each segment's midpoint with
         multiplicity N_i * length_i.  Cardinality equals total_dim."""
-        vals = []
+        counts: dict[Fraction, int] = {}
         for s in self.segments:
-            vals.extend([s.midpoint] * s.ambient_dim)
-        return CharacterList(vals)
+            mid = s.midpoint
+            counts[mid] = counts.get(mid, 0) + s.ambient_dim
+        return CharacterList(counts)
 
     def is_tempered(self) -> bool:
         """Langlands reading: tempered mod center iff all midpoints coincide."""

@@ -24,7 +24,7 @@ from functools import reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
-from .decay import _max_ratio_scan, decay_t, decay_t_arthur
+from .decay import _max_ratio_scan, decay_t, decay_t_arthur, expand_blocks
 from .partitions import Partition, dual_partition, partition_count, partition_tuples
 from .rationals import InputError, check_positive_int, rat_decimal
 from .segments import SupercuspidalLabel
@@ -152,19 +152,16 @@ def _chunk_size(total: int, threads: int, floor: int = 2000) -> int:
 
 
 def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
-    """Full prefix-sum scan of the character attached to a partition, using
-    the counting layout of its doubled entries.  Returns the unreduced
-    (num, den) of the maximum ratio; identical semantics to decay_t."""
+    """Full prefix-sum scan of the character attached to a partition, read
+    as the run-length blocks of a CharacterList at unit 2 (the doubled
+    entries, counted).  Returns the unreduced (num, den) of the maximum
+    ratio; identical semantics to decay_t."""
     counts = [0] * (2 * n - 1)
     for d in a_parts:
         for v in range(d - 1, -d, -2):
             counts[v + n - 1] += 1
-    scaled: list[int] = []
-    for v in range(n - 1, -n, -1):
-        c = counts[v + n - 1]
-        if c:
-            scaled.extend([v] * c)
-    num, den, _ = _max_ratio_scan(scaled, 2)
+    blocks = [(v, c) for v, c in zip(range(n - 1, -n, -1), reversed(counts)) if c]
+    num, den, _ = _max_ratio_scan(expand_blocks(blocks), 2)
     return num, den
 
 

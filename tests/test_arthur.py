@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from gln_invariants.arthur import ArthurSummand, UnitaryRep, simple_exponent
+from gln_invariants.arthur import ArthurSummand, UnitaryRep
 from gln_invariants.decay import dominates
 from gln_invariants.partitions import Partition, dual_partition
 from gln_invariants.rationals import InputError
@@ -172,27 +172,6 @@ def test_non_genericity_range_and_two_routes(pi):
     assert 0 <= g <= 1
     d_max = Fraction(pi.N * (pi.N - 1), 2)
     assert g == 1 - pi.gk_dim() / d_max
-
-
-def test_simple_exponent_examples():
-    assert simple_exponent(2, 3, 1) == (Fraction(0),) * 6
-    assert simple_exponent(1, 1, 3) == (Fraction(-1), Fraction(0), Fraction(1))
-    assert simple_exponent(2, 1, 2) == (
-        Fraction(-1, 2),
-        Fraction(-1, 2),
-        Fraction(1, 2),
-        Fraction(1, 2),
-    )
-    with pytest.raises(ValueError):
-        simple_exponent(0, 1, 1)
-
-
-def test_simple_exponent_is_ascending_negated_character():
-    for dim, a, d in itertools.product(range(1, 4), range(1, 4), range(1, 5)):
-        pi = UnitaryRep([ArthurSummand(SupercuspidalLabel("rho", dim), a, d)])
-        exp = simple_exponent(dim, a, d)
-        neg = sorted(-v for v in pi.character())
-        assert list(exp) == neg
 
 
 @settings(max_examples=80)

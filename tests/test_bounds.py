@@ -15,6 +15,7 @@ from gln_invariants.bounds import (
     speh_exponent,
 )
 from gln_invariants.partitions import Partition
+from gln_invariants.rationals import InputError
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
 from conftest import multisegments
@@ -147,6 +148,23 @@ def test_genbound_param_validation_and_json():
     assert param.N == 4
     data = json.loads(json.dumps(param.to_json()))
     assert GenArthurParam.from_json(data) == param
+    with pytest.raises(InputError) as exc:
+        GenArthurParam(((2.7, True),))
+    assert exc.value.field == "summands[0].n"
+    with pytest.raises(InputError) as exc:
+        GenArthurParam(((2, True),))
+    assert exc.value.field == "summands[0].d"
+    for bad, field in (
+        ({"summands": [{"n": 3, "d": 1.9}]}, "summands[0].d"),
+        ({"summands": [{"n": "3", "d": 1}]}, "summands[0].n"),
+        ({"summands": [{"n": 1, "d": 1}, {"n": 1}]}, "summands[1].d"),
+        ({"summands": []}, "summands"),
+        ({"summands": 5}, "summands"),
+        ([], ""),
+    ):
+        with pytest.raises(InputError) as exc:
+            GenArthurParam.from_json(bad)
+        assert exc.value.field == field, bad
 
 
 def test_p0_exponent_examples():

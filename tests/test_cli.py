@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,60 @@ def test_invariants_csv_format(tmp_path, capsys):
     assert "t.num,1" in out
 
 
+def _rho(name, dim=1):
+    return {"id": name, "dim": dim}
+
+
+# sha256 of the invariants output in JSON and CSV; a change in any output
+# byte shows here.
+GOLDEN = {
+    "arthur": (
+        {"summands": [{"rho": _rho("r1", 2), "a": 1, "d": 3, "x": "0"},
+                      {"rho": _rho("r2"), "a": 2, "d": 2, "x": "0"}]},
+        "66b8c407ae034974d5c5147554362640ba86d33db529113442bafff8bd722dfc",
+        "a51ff0b4f5129a0d5eaae5d067430cdb3a468675c25303df00a5d2d1cac86a55",
+    ),
+    "twisted": (
+        {"summands": [{"rho": _rho("r"), "a": 2, "d": 3, "x": "1/7"},
+                      {"rho": _rho("r"), "a": 2, "d": 3, "x": "-1/7"},
+                      {"rho": _rho("s"), "a": 1, "d": 2, "x": "0"}]},
+        "79633c6e8b60ecf635b25f8d1203166292e5c730372f040344a0d24c4f6ebbcd",
+        "33bd370334037f1c02445ad99c517b9adab3ad6ca4e73306a832d89928d2fd3e",
+    ),
+    "thirds": (
+        {"segments": [{"rho": _rho("r"), "a": "1/3", "b": "7/3"},
+                      {"rho": _rho("s", 2), "a": "-2/3", "b": "1/3"},
+                      {"rho": _rho("r"), "a": "-5/3", "b": "-2/3"}]},
+        "7ac223e6b0613eb288e2606df68727c9413d657492ad599ac8cb0841a724cde8",
+        "01efa58e6ec436a5ca1d1d6e8d58e8ca01bbabffc13f891d68c29d1324d5533d",
+    ),
+    "speh": (
+        SPEH,
+        "7eb0c57402ba9970c3b570fd0748107f0d8e7f352223eb6cb1cd87df84ea0a08",
+        "0452a82c3a7875f595e996bdccc34d6a127335de78fc914522b3497ad4bf0294",
+    ),
+    "n1_unitary": (
+        {"summands": [{"rho": _rho("r"), "a": 1, "d": 1, "x": "0"}]},
+        "f0255742c15a529a0ad2ccd926d12cde1cb704fc34c3fa8d3b2237d348c82c8f",
+        "b713e8aa7a02d55026b5ff4a0c25056d8b48f7cde8572f2ad9de198015505037",
+    ),
+    "n1_segment": (
+        {"segments": [{"rho": _rho("r"), "a": "1/2", "b": "1/2"}]},
+        "0e286807953424e677aef5e4b73e71e44c65cc5c000be0f33f5cab2596918a7a",
+        "965b5bd76a4e5b0cc816d763a580906225828a41aed5dec3c6c7c8ab6fcea794",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_invariants_output_bytes_are_pinned(tmp_path, capsys, name):
+    rep, json_sha, csv_sha = GOLDEN[name]
+    path = write(tmp_path, f"{name}.json", rep)
+    for fmt, sha in (("json", json_sha), ("csv", csv_sha)):
+        assert main(["invariants", "--input", path, "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha, fmt
+
+
 def test_dual_swaps_labels(tmp_path, capsys):
     path = write(tmp_path, "speh.json", SPEH)
     assert main(["dual", "--input", path]) == 0
@@ -83,6 +138,13 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["invariants", "--input", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_invalid_utf8_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff")
+    assert main(["invariants", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: <input>: not valid UTF-8")
 
 
 def test_boundary_twist_rejected_with_field(tmp_path, capsys):

@@ -39,6 +39,73 @@ def test_character_list_sorting_and_symmetry():
     assert list(xi) == [H, 0, -H]
     assert xi.is_negation_symmetric()
     assert not CharacterList([H, H, -H, H]).is_negation_symmetric()
+    assert CharacterList([H, H]) != CharacterList([Fraction(1, 3)] * 2)
+
+
+def naive_decay(values):
+    """t and its maximizers by a plain prefix scan of the sorted Fractions,
+    independent of the run-length form decay_t reads."""
+    vals = sorted((Fraction(v) for v in values), reverse=True)
+    n = len(vals)
+    ratios = {i: Fraction(2 * sum(vals[:i]), i * (n - i)) for i in range(1, n)}
+    best = max(ratios.values())
+    return best, {i for i, r in ratios.items() if r == best}
+
+
+def naive_certificate(values):
+    vals = sorted((Fraction(v) for v in values), reverse=True)
+    n = len(vals)
+    ratios = {i: sum(vals[:i]) / (i * (n - i)) for i in range(1, n // 2 + 1)}
+    best = max(ratios.values(), default=None)
+    argmax = {i for i, r in ratios.items() if r == best}
+    boundaries = {
+        j for j in range(1, n + 1) if vals[j - 1] > 0 and (j == n or vals[j] != vals[j - 1])
+    }
+    return argmax, boundaries, not boundaries or argmax <= boundaries
+
+
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12)), st.integers(-3, 3)
+)
+
+
+@st.composite
+def rational_lists(draw):
+    """Lists of length 1..40 over a small pool, so values repeat; a third of
+    them symmetric under negation and a third one entry short of it."""
+    pool = draw(st.lists(rationals, min_size=1, max_size=8))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    shape = draw(st.sampled_from(("any", "symmetric", "one short of symmetric")))
+    if shape != "any":
+        half = values[: max(1, len(values) // 2)]
+        values = half + [-v for v in half]
+        if shape != "symmetric":
+            values = values[1:]
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_character_list_matches_sorted_fraction_oracle(data):
+    values = data.draw(rational_lists())
+    other = data.draw(st.one_of(st.permutations(values), rational_lists()))
+    ordered = sorted(values, reverse=True)
+    xi = CharacterList(values)
+    assert list(xi) == ordered and list(xi.values) == ordered
+    assert len(xi) == len(values)
+    assert (xi == CharacterList(other)) == (sorted(values) == sorted(other))
+    assert xi.is_negation_symmetric() == all(
+        ordered[i] == -ordered[-1 - i] for i in range(len(ordered))
+    )
+    if len(values) >= 2:
+        result = decay_t(xi)
+        assert (result.t, set(result.maximizers)) == naive_decay(values)
+        assert decay_t(values) == result
+    else:
+        with pytest.raises(ValueError):
+            decay_t(xi)
+    report = maximizer_certificate(xi)
+    assert (report.argmax, report.block_boundaries, report.contained) == naive_certificate(values)
 
 
 def test_decay_t_examples():

@@ -8,6 +8,7 @@ from gln_invariants.partitions import (
     partition_count,
     partition_tuples,
 )
+from gln_invariants.rationals import InputError
 
 
 def dual_oracle(parts):
@@ -32,6 +33,10 @@ def test_constructor_canonicalizes_and_validates():
         Partition([2, 0])
     with pytest.raises(ValueError):
         Partition([2, -1])
+    for bad, field in (([True, 2], "parts[0]"), ([2, 1.0], "parts[1]"), ([2, "1"], "parts[1]")):
+        with pytest.raises(InputError) as exc:
+            Partition(bad)
+        assert exc.value.field == field
 
 
 def test_dual_examples():
