@@ -10,7 +10,11 @@ cross-checked in the test suite, never trusted alone.
 
 A character has one form, :class:`CharacterList`: integer run-length blocks
 over one common denominator.  The scans read those integers; ``Fraction`` is
-built only where a value leaves the API.
+built only where a value leaves the API.  Two scans take the same exact
+maximum over every cut: ``_max_ratio_scan`` visits each cut and also returns
+the maximizers (``decay_t``), and ``_max_ratio_blocks`` visits the two end
+cuts of each constant block whose convexity it certifies and every cut of any
+other block (the Arthur sweep's cross-check).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .partitions import Partition
+from .rationals import check_positive_int
 
 
 def expand_blocks(blocks: Iterable[tuple]) -> list:
@@ -38,7 +43,9 @@ class CharacterList:
     """Multiset of rational twist exponents in integer-scaled run-length form:
     ``unit`` is the lcm of the value denominators and ``blocks`` holds one
     ``(value * unit, multiplicity)`` pair per distinct value, values
-    decreasing.  Built from the values or from a mapping value -> multiplicity;
+    decreasing.  Built from the values or from a mapping value -> multiplicity,
+    where a multiplicity of 0 drops the value and any other multiplicity must
+    be a positive integer, so every block has a positive multiplicity;
     iteration and ``values`` give the values non-increasing, as ``Fraction``s.
 
     The characters produced by the classification of the unitary dual are
@@ -49,8 +56,15 @@ class CharacterList:
     __slots__ = ("unit", "blocks")
 
     def __init__(self, values: Iterable[Fraction | int] | Mapping[Fraction | int, int]):
-        items = values.items() if isinstance(values, Mapping) else Counter(values).items()
-        counts = {Fraction(value): mult for value, mult in items}
+        if isinstance(values, Mapping):
+            counts = {}
+            for value, mult in values.items():
+                if type(mult) is int and mult == 0:
+                    continue
+                check_positive_int(mult, f"multiplicity of {value}")
+                counts[Fraction(value)] = mult
+        else:
+            counts = {Fraction(value): mult for value, mult in Counter(values).items()}
         unit = math.lcm(*(v.denominator for v in counts))
         blocks = sorted(
             ((v.numerator * (unit // v.denominator), mult) for v, mult in counts.items()),
@@ -154,6 +168,57 @@ def _max_ratio_scan(scaled: Sequence[int], unit: int) -> tuple[int, int, list[in
         elif num * best_d == best_n * den:
             maximizers.append(i)
     return best_n, best_d, maximizers
+
+
+def _max_ratio_blocks(blocks: Sequence[tuple[int, int]], unit: int) -> tuple[int, int]:
+    """Exact maximum of 2*sigma_i/(unit*i*(n-i)) over every cut 1 <= i <= n-1
+    of the run-length ``blocks`` (value * unit, multiplicity), values
+    decreasing and every multiplicity positive, as in ``CharacterList.blocks``.
+    Returns an unreduced (numerator, denominator) pair; (0, 0) when n < 2,
+    as ``_max_ratio_scan``.
+
+    On a block that follows cut i0, sigma_i = alpha + v*i with
+    alpha = sigma_{i0} - v*i0, so, as 1/(i(n-i)) = (1/i + 1/(n-i))/n, the
+    ratio is proportional to alpha/i + beta/(n-i), where beta = alpha + v*n.
+    When alpha >= 0 and beta >= 0 (checked in integers) that is convex in i,
+    so the block's maximum lies at its first or last cut and only those two
+    are compared; any other block is scanned cut by cut.  Decreasing values
+    make alpha >= 0, and beta >= sigma_n, so the fallback needs a negative
+    total.
+    """
+    n = 0
+    for _, mult in blocks:
+        n += mult
+    if n < 2:
+        return 0, 0
+    best_s, best_w = blocks[0][0], n - 1  # cut 1 seeds the maximum
+    i = sigma = 0  # the cut before the block and its prefix sum
+    for v, mult in blocks:
+        alpha = sigma - v * i
+        if alpha < 0 or alpha + v * n < 0:
+            for j in range(i + 1, min(i + mult, n - 1) + 1):
+                s = alpha + v * j
+                w = j * (n - j)
+                if s * best_w > best_s * w:
+                    best_s, best_w = s, w
+        else:
+            j = i + 1
+            if j < n:
+                s = sigma + v
+                w = j * (n - j)
+                if s * best_w > best_s * w:
+                    best_s, best_w = s, w
+            if mult > 1:
+                j = i + mult
+                if j == n:
+                    j -= 1
+                s = alpha + v * j
+                w = j * (n - j)
+                if s * best_w > best_s * w:
+                    best_s, best_w = s, w
+        i += mult
+        sigma += v * mult
+    return 2 * best_s, unit * best_w
 
 
 def decay_t(xi: CharacterList | Sequence[Fraction | int]) -> DecayResult:

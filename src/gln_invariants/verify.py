@@ -3,7 +3,8 @@
 Every check here is an exact statement about rationals or partitions: the
 uncertainty inequalities g <= t and t^2 <= g are tested by integer
 cross-multiplication, the closed-form decay parameter is compared against the
-full prefix-sum scan on every case, and the two classification routes to the
+full prefix-sum scan on every case (an exact maximum over every cut, taken
+block by block), and the two classification routes to the
 GK-dimension, wavefront set and character are compared as exact equalities.
 Floats appear only in CSV rendering columns.
 
@@ -24,10 +25,17 @@ from functools import reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
-from .decay import _max_ratio_scan, decay_t, decay_t_arthur, expand_blocks
+from .decay import _max_ratio_blocks, decay_t, decay_t_arthur
 from .partitions import Partition, dual_partition, partition_count, partition_tuples
 from .rationals import InputError, check_positive_int, rat_decimal
 from .segments import SupercuspidalLabel
+
+MAX_SWEEP_N = 60
+"""Largest N that ``verify_uncertainty_arthur`` and ``figure_rows`` accept.
+Both build every chunk of all p(N) partitions of N before any work starts:
+p(60) = 966,467 tuples (``figure --N 60`` peaks near 640 MB on one thread),
+where p(100) = 190,569,292 would need about 28 GiB.  The partition stream
+itself (``partition_tuples``) is not capped."""
 
 FIGURE_CSV_HEADER = (
     "partition,d_gk,g_num,g_den,t_num,t_den,g_float,t_float,sqrt_g_float,lower_ok,upper_ok"
@@ -152,17 +160,32 @@ def _chunk_size(total: int, threads: int, floor: int = 2000) -> int:
 
 
 def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
-    """Full prefix-sum scan of the character attached to a partition, read
-    as the run-length blocks of a CharacterList at unit 2 (the doubled
-    entries, counted).  Returns the unreduced (num, den) of the maximum
-    ratio; identical semantics to decay_t."""
-    counts = [0] * (2 * n - 1)
+    """Full prefix-sum scan of the character attached to a partition of n
+    (parts non-increasing): each part d gives the doubled entries d-1, d-3,
+    ..., 1-d.  Their run-length blocks at unit 2 are built in O(d1), d1 the
+    largest part, and ``decay._max_ratio_blocks`` takes the exact maximum
+    over every cut, comparing only the two end cuts of each block whose
+    convexity it certifies.  Returns the unreduced (num, den) of the maximum
+    ratio, the value decay_t gives."""
+    d1 = a_parts[0]
+    # after the suffix sums, e[k] counts the parts k, k+2, k+4, ...: the
+    # multiplicity of the doubled values k-1 and 1-k
+    e = [0] * (d1 + 2)
     for d in a_parts:
-        for v in range(d - 1, -d, -2):
-            counts[v + n - 1] += 1
-    blocks = [(v, c) for v, c in zip(range(n - 1, -n, -1), reversed(counts)) if c]
-    num, den, _ = _max_ratio_scan(expand_blocks(blocks), 2)
-    return num, den
+        e[d] += 1
+    for k in range(d1 - 1, 0, -1):
+        e[k] += e[k + 2]
+    top = [(k - 1, e[k]) for k in range(d1, 1, -1) if e[k]]
+    middle = [(0, e[1])] if e[1] else []
+    return _max_ratio_blocks(top + middle + [(-v, mult) for v, mult in reversed(top)], 2)
+
+
+def _check_cap(N: int) -> None:
+    """Reject an N above MAX_SWEEP_N."""
+    if N > MAX_SWEEP_N:
+        raise InputError(
+            "N", f"must be at most {MAX_SWEEP_N}, as every partition of N is held in memory"
+        )
 
 
 def _partition_stats(parts: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
@@ -226,9 +249,11 @@ def _failure_report(
 
 def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
     """Check g <= t and t^2 <= g for every partition of N, with t computed by
-    the closed form and cross-checked against the full scan on every case."""
+    the closed form and cross-checked against the full scan on every case.
+    N must lie in 2..MAX_SWEEP_N."""
     if N < 2:
         raise ValueError("sweep requires N >= 2")
+    _check_cap(N)
     size = _chunk_size(partition_count(N), threads)
     jobs = [(N, chunk) for chunk in _chunked(partition_tuples(N), size)]
     return _fold(N, _arthur_chunk, jobs, threads)
@@ -264,9 +289,11 @@ def _figure_chunk(job) -> list[tuple]:
 
 def figure_rows(N: int, threads: int = 1) -> list[FigureRow]:
     """One row per partition of N, sorted by GK-dimension and then by the
-    canonical enumeration order.  All fields exact."""
+    canonical enumeration order.  All fields exact.  N must lie in
+    2..MAX_SWEEP_N."""
     if N < 2:
         raise ValueError("figure requires N >= 2")
+    _check_cap(N)
     nn1 = N * (N - 1)
     size = _chunk_size(partition_count(N), threads)
     jobs = []

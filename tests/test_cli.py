@@ -7,6 +7,7 @@ from gln_invariants.cli import main, parse_rep
 from gln_invariants.arthur import UnitaryRep
 from gln_invariants.partitions import partition_count
 from gln_invariants.segments import Multisegment
+from gln_invariants.verify import MAX_SWEEP_N
 
 SPEH = {"summands": [{"rho": {"id": "rho", "dim": 1}, "a": 1, "d": 4, "x": "0"}]}
 MSEG = {
@@ -282,6 +283,14 @@ def test_empty_sweep_budget_rejected(capsys, argv, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {field}: must be a " in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify-arthur", "figure"])
+def test_sweep_n_above_the_cap_rejected(capsys, command):
+    assert main([command, "--N", str(MAX_SWEEP_N + 1), "--threads", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --N: must be at most {MAX_SWEEP_N}, ")
 
 
 def test_figure_cli_writes_csv(tmp_path, capsys):

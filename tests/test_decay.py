@@ -6,13 +6,17 @@ import hypothesis.strategies as st
 
 from gln_invariants.decay import (
     CharacterList,
+    _max_ratio_blocks,
+    _max_ratio_scan,
     decay_t,
     decay_t_arthur,
     dominates,
+    expand_blocks,
     maximizer_certificate,
     prefix_sums,
 )
 from gln_invariants.partitions import Partition, partition_tuples
+from gln_invariants.rationals import InputError
 from gln_invariants.verify import arthur_rep_from_partition
 
 from conftest import unitary_reps
@@ -40,6 +44,15 @@ def test_character_list_sorting_and_symmetry():
     assert xi.is_negation_symmetric()
     assert not CharacterList([H, H, -H, H]).is_negation_symmetric()
     assert CharacterList([H, H]) != CharacterList([Fraction(1, 3)] * 2)
+    # a multiplicity of 0 drops the value; any other must be a positive int
+    assert CharacterList({1: 0, -1: 0}).blocks == ()
+    assert CharacterList({1: 0, -1: 0}) == CharacterList([])
+    assert CharacterList({1: 1, 0: 0, -1: 1}).blocks == ((1, 1), (-1, 1))
+    assert CharacterList({1: 1, 0: 0, -1: 1}) == CharacterList([1, -1])
+    for bad in (-1, H, 1.0, True):
+        with pytest.raises(InputError) as err:
+            CharacterList({H: bad})
+        assert err.value.field == "multiplicity of 1/2"
 
 
 def naive_decay(values):
@@ -106,6 +119,35 @@ def test_character_list_matches_sorted_fraction_oracle(data):
             decay_t(xi)
     report = maximizer_certificate(xi)
     assert (report.argmax, report.block_boundaries, report.contained) == naive_certificate(values)
+
+
+@st.composite
+def ratio_blocks(draw):
+    """Run-length blocks with distinct decreasing values in -30..30 and
+    multiplicities 1..6, totals of either sign, with a unit 1..12."""
+    values = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=8, unique=True))
+    mults = draw(st.lists(st.integers(1, 6), min_size=len(values), max_size=len(values)))
+    blocks = list(zip(sorted(values, reverse=True), mults))
+    return blocks, draw(st.integers(1, 12))
+
+
+@settings(max_examples=500)
+@given(ratio_blocks())
+def test_max_ratio_blocks_matches_per_cut_scan(case):
+    blocks, unit = case
+    num, den = _max_ratio_blocks(blocks, unit)
+    scan_num, scan_den, _ = _max_ratio_scan(expand_blocks(blocks), unit)
+    if scan_den == 0:  # fewer than two entries: no cut
+        assert (num, den) == (0, 0)
+    else:
+        assert num * scan_den == scan_num * den and den > 0
+
+
+def test_max_ratio_blocks_fallback_example():
+    # values 1, -5, -5, -5: on the second block alpha = 6 but beta = 6 - 5*4 < 0,
+    # so its cuts are scanned one by one; the maximum is at cut 1
+    num, den = _max_ratio_blocks([(1, 1), (-5, 3)], 1)
+    assert Fraction(num, den) == Fraction(2, 3)
 
 
 def test_decay_t_examples():

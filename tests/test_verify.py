@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gln_invariants.partitions import Partition, partition_count
+from gln_invariants.decay import _max_ratio_scan, expand_blocks
+from gln_invariants.partitions import Partition, partition_count, partition_tuples
 from gln_invariants.rationals import InputError
 from gln_invariants.verify import (
+    MAX_SWEEP_N,
     ConsistencyBudget,
     FIGURE_CSV_HEADER,
+    _scan_two_xi,
     figure_rows,
     report_for_arthur_partition,
     report_for_rep,
@@ -56,6 +59,28 @@ def test_arthur_sweep_thread_determinism():
 def test_arthur_sweep_rejects_small_n():
     with pytest.raises(ValueError):
         verify_uncertainty_arthur(1)
+
+
+def test_sweeps_holding_every_partition_are_capped():
+    for sweep in (verify_uncertainty_arthur, figure_rows):
+        with pytest.raises(InputError) as err:
+            sweep(MAX_SWEEP_N + 1)
+        assert err.value.field == "N"
+
+
+def test_block_scan_matches_per_cut_oracle():
+    # the doubled character as a count array over -(n-1)..n-1, expanded and
+    # scanned at every cut
+    for n in range(2, 31):
+        for parts in partition_tuples(n):
+            counts = [0] * (2 * n - 1)
+            for d in parts:
+                for v in range(d - 1, -d, -2):
+                    counts[v + n - 1] += 1
+            blocks = [(v, c) for v, c in zip(range(n - 1, -n, -1), reversed(counts)) if c]
+            num, den, _ = _max_ratio_scan(expand_blocks(blocks), 2)
+            scan_num, scan_den = _scan_two_xi(parts, n)
+            assert scan_num * den == num * scan_den, parts
 
 
 def test_upper_gap_vanishes_along_hook_family():
