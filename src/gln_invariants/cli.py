@@ -29,6 +29,7 @@ from .verify import (
     ConsistencyBudget,
     InvariantReport,
     SweepSummary,
+    check_sweep_n,
     report_for_rep,
     verify_consistency,
     verify_uncertainty_arthur,
@@ -270,21 +271,8 @@ def _cmd_dual(args) -> int:
     return EXIT_OK
 
 
-@contextmanager
-def _n_flag() -> Iterator[None]:
-    """Name ``--N`` in an InputError the library raises about its ``N``."""
-    try:
-        yield
-    except InputError as exc:
-        if exc.field != "N":
-            raise
-        raise ParseError("--N", exc.message) from None
-
-
 def _cmd_verify_arthur(args) -> int:
-    threads = _resolve_threads(args)
-    with _n_flag():
-        summary = verify_uncertainty_arthur(args.N, threads=threads)
+    summary = verify_uncertainty_arthur(args.N, threads=_resolve_threads(args))
     with _output(args) as out:
         return _emit_summary(summary, "partitions", args, out)
 
@@ -325,7 +313,8 @@ def _cmd_verify_consistency(args) -> int:
 
 def _cmd_figure(args) -> int:
     threads = _resolve_threads(args)
-    with _n_flag(), _output(args) as out:
+    check_sweep_n(args.N, "figure")  # before --out is truncated
+    with _output(args) as out:
         count, violations = write_figure_csv(args.N, out, threads=threads)
     if args.out:
         print(f"wrote {count} rows to {args.out}", file=sys.stderr)

@@ -12,9 +12,9 @@ A character has one form, :class:`CharacterList`: integer run-length blocks
 over one common denominator.  The scans read those integers; ``Fraction`` is
 built only where a value leaves the API.  Two scans take the same exact
 maximum over every cut: ``_max_ratio_scan`` visits each cut and also returns
-the maximizers (``decay_t``), and ``_max_ratio_blocks`` visits the two end
-cuts of each constant block whose convexity it certifies and every cut of any
-other block (the Arthur sweep's cross-check).
+the maximizers (``decay_t``), and ``_max_ratio_blocks`` visits at most the
+two end cuts of each constant block, on which the ratio is convex or
+decreasing (the Arthur sweep's cross-check).
 """
 
 from __future__ import annotations
@@ -180,11 +180,11 @@ def _max_ratio_blocks(blocks: Sequence[tuple[int, int]], unit: int) -> tuple[int
     On a block that follows cut i0, sigma_i = alpha + v*i with
     alpha = sigma_{i0} - v*i0, so, as 1/(i(n-i)) = (1/i + 1/(n-i))/n, the
     ratio is proportional to alpha/i + beta/(n-i), where beta = alpha + v*n.
-    When alpha >= 0 and beta >= 0 (checked in integers) that is convex in i,
-    so the block's maximum lies at its first or last cut and only those two
-    are compared; any other block is scanned cut by cut.  Decreasing values
-    make alpha >= 0, and beta >= sigma_n, so the fallback needs a negative
-    total.
+    Decreasing values make alpha the sum of the earlier entries' excess over
+    v, so alpha >= 0: the ratio is convex on the block when beta >= 0 and
+    decreasing when beta < 0.  Its maximum is therefore at the block's first
+    cut, or at its last cut when beta >= 0 (checked in integers), and only
+    those cuts are compared.
     """
     n = 0
     for _, mult in blocks:
@@ -194,28 +194,20 @@ def _max_ratio_blocks(blocks: Sequence[tuple[int, int]], unit: int) -> tuple[int
     best_s, best_w = blocks[0][0], n - 1  # cut 1 seeds the maximum
     i = sigma = 0  # the cut before the block and its prefix sum
     for v, mult in blocks:
-        alpha = sigma - v * i
-        if alpha < 0 or alpha + v * n < 0:
-            for j in range(i + 1, min(i + mult, n - 1) + 1):
-                s = alpha + v * j
-                w = j * (n - j)
-                if s * best_w > best_s * w:
-                    best_s, best_w = s, w
-        else:
-            j = i + 1
-            if j < n:
-                s = sigma + v
-                w = j * (n - j)
-                if s * best_w > best_s * w:
-                    best_s, best_w = s, w
-            if mult > 1:
-                j = i + mult
-                if j == n:
-                    j -= 1
-                s = alpha + v * j
-                w = j * (n - j)
-                if s * best_w > best_s * w:
-                    best_s, best_w = s, w
+        j = i + 1
+        if j < n:
+            s = sigma + v
+            w = j * (n - j)
+            if s * best_w > best_s * w:
+                best_s, best_w = s, w
+        if mult > 1 and sigma + v * (n - i) >= 0:  # beta >= 0
+            j = i + mult
+            if j == n:
+                j -= 1
+            s = sigma + v * (j - i)
+            w = j * (n - j)
+            if s * best_w > best_s * w:
+                best_s, best_w = s, w
         i += mult
         sigma += v * mult
     return 2 * best_s, unit * best_w

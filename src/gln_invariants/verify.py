@@ -164,9 +164,9 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     (parts non-increasing): each part d gives the doubled entries d-1, d-3,
     ..., 1-d.  Their run-length blocks at unit 2 are built in O(d1), d1 the
     largest part, and ``decay._max_ratio_blocks`` takes the exact maximum
-    over every cut, comparing only the two end cuts of each block whose
-    convexity it certifies.  Returns the unreduced (num, den) of the maximum
-    ratio, the value decay_t gives."""
+    over every cut, comparing at most the two end cuts of each block, on
+    which the ratio is convex or decreasing.  Returns the unreduced
+    (num, den) of the maximum ratio, the value decay_t gives."""
     d1 = a_parts[0]
     # after the suffix sums, e[k] counts the parts k, k+2, k+4, ...: the
     # multiplicity of the doubled values k-1 and 1-k
@@ -180,8 +180,11 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     return _max_ratio_blocks(top + middle + [(-v, mult) for v, mult in reversed(top)], 2)
 
 
-def _check_cap(N: int) -> None:
-    """Reject an N above MAX_SWEEP_N."""
+def check_sweep_n(N: int, sweep: str) -> None:
+    """Reject an N outside 2..MAX_SWEEP_N for ``sweep`` (named in the
+    message), before any partition is enumerated."""
+    if N < 2:
+        raise ValueError(f"{sweep} requires N >= 2")
     if N > MAX_SWEEP_N:
         raise InputError(
             "N", f"must be at most {MAX_SWEEP_N}, as every partition of N is held in memory"
@@ -251,9 +254,7 @@ def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
     """Check g <= t and t^2 <= g for every partition of N, with t computed by
     the closed form and cross-checked against the full scan on every case.
     N must lie in 2..MAX_SWEEP_N."""
-    if N < 2:
-        raise ValueError("sweep requires N >= 2")
-    _check_cap(N)
+    check_sweep_n(N, "sweep")
     size = _chunk_size(partition_count(N), threads)
     jobs = [(N, chunk) for chunk in _chunked(partition_tuples(N), size)]
     return _fold(N, _arthur_chunk, jobs, threads)
@@ -291,9 +292,7 @@ def figure_rows(N: int, threads: int = 1) -> list[FigureRow]:
     """One row per partition of N, sorted by GK-dimension and then by the
     canonical enumeration order.  All fields exact.  N must lie in
     2..MAX_SWEEP_N."""
-    if N < 2:
-        raise ValueError("figure requires N >= 2")
-    _check_cap(N)
+    check_sweep_n(N, "figure")
     nn1 = N * (N - 1)
     size = _chunk_size(partition_count(N), threads)
     jobs = []

@@ -290,7 +290,16 @@ def test_sweep_n_above_the_cap_rejected(capsys, command):
     assert main([command, "--N", str(MAX_SWEEP_N + 1), "--threads", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: --N: must be at most {MAX_SWEEP_N}, ")
+    assert captured.err.startswith(f"error: N: must be at most {MAX_SWEEP_N}, ")
+
+
+@pytest.mark.parametrize("n", [1, MAX_SWEEP_N + 1])
+def test_rejected_figure_leaves_out_file_intact(tmp_path, capsys, n):
+    out = tmp_path / "fig.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["figure", "--N", str(n), "--out", str(out), "--threads", "1"]) == 2
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_figure_cli_writes_csv(tmp_path, capsys):

@@ -143,9 +143,10 @@ def test_max_ratio_blocks_matches_per_cut_scan(case):
         assert num * scan_den == scan_num * den and den > 0
 
 
-def test_max_ratio_blocks_fallback_example():
+def test_max_ratio_blocks_decreasing_block_example():
     # values 1, -5, -5, -5: on the second block alpha = 6 but beta = 6 - 5*4 < 0,
-    # so its cuts are scanned one by one; the maximum is at cut 1
+    # so the ratio decreases there and its last cut is not compared; the
+    # maximum is at cut 1
     num, den = _max_ratio_blocks([(1, 1), (-5, 3)], 1)
     assert Fraction(num, den) == Fraction(2, 3)
 
