@@ -29,7 +29,7 @@ from .rationals import (
 from .segments import Multisegment, Segment, SupercuspidalLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArthurSummand:
     """One summand |.|^x rho[a][d]: a is the tempered-SL2 (Steinberg) length,
     d the Arthur-SL2 (Speh) length, x a twist with |x| < 1/2."""
@@ -77,6 +77,7 @@ def _summand_sort_key(s: ArthurSummand):
     return (-s.d, -s.a, s.rho.id, -s.x)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class UnitaryRep:
     """Sum of summands in the shape of the unitarizable classification.
 
@@ -86,7 +87,7 @@ class UnitaryRep:
     well-defined.
     """
 
-    __slots__ = ("summands",)
+    summands: tuple[ArthurSummand, ...]
 
     def __init__(self, summands: Iterable[ArthurSummand], *, _check_pairing: bool = True):
         ss = tuple(sorted(summands, key=_summand_sort_key))
@@ -114,22 +115,11 @@ class UnitaryRep:
         """Admit arbitrary augmented data without the +/- pairing constraint."""
         return cls(summands, _check_pairing=False)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryRep is immutable")
-
     def __len__(self) -> int:
         return len(self.summands)
 
     def __iter__(self) -> Iterator[ArthurSummand]:
         return iter(self.summands)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnitaryRep):
-            return NotImplemented
-        return self.summands == other.summands
-
-    def __hash__(self) -> int:
-        return hash(self.summands)
 
     def __repr__(self) -> str:
         body = " + ".join(

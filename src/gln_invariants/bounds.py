@@ -18,7 +18,7 @@ from .rationals import InputError, check_positive_int, json_fields, json_list
 from .segments import Multisegment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundExponent:
     """Exponent of q per unit level, plus whether the bound carries +epsilon."""
 
@@ -104,7 +104,7 @@ def hch_coefficient_exponent(m: Multisegment, orbit: Partition) -> BoundExponent
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenArthurParam:
     """Generalized Arthur parameter data: summands (n_i, d_i) where the i-th
     factor is a generic unitarizable representation of GL_{n_i} stretched by

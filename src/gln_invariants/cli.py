@@ -44,13 +44,20 @@ EXIT_IO = 4
 
 THREADS_ENV_VAR = "GLN_INVARIANTS_THREADS"
 
+MAX_INPUT_N = 100_000
+"""Largest total dimension N of a representation that ``parse_rep`` accepts.
+``invariants`` builds the Arthur-SL2 and the character as lists of length N
+(a Speh input with d = 100,000 took 2.5-3.1 s and 58 MB on a 2-vCPU Xeon), so
+without a cap a 62-byte input with ``"dim": 1000000000`` asks for 10^9 parts."""
+
 
 ParseError = InputError
 
 
 def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
     """Parse a JSON-described representation; raises ParseError naming the
-    offending field on any violated constraint."""
+    offending field on any violated constraint, or when its total dimension
+    exceeds MAX_INPUT_N."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -63,12 +70,18 @@ def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
     if not isinstance(data, dict):
         raise ParseError("<input>", "expected a JSON object")
     if "summands" in data:
-        return UnitaryRep.from_json(data)
-    if "segments" in data:
-        return Multisegment.from_json(data)
-    raise ParseError(
-        "<input>", "expected 'summands' (unitarizable form) or 'segments' (multisegment)"
-    )
+        rep, field = UnitaryRep.from_json(data), "summands"
+        n = rep.N
+    elif "segments" in data:
+        rep, field = Multisegment.from_json(data), "segments"
+        n = rep.total_dim
+    else:
+        raise ParseError(
+            "<input>", "expected 'summands' (unitarizable form) or 'segments' (multisegment)"
+        )
+    if n > MAX_INPUT_N:
+        raise ParseError(field, f"total dimension {n} exceeds the cap of {MAX_INPUT_N}")
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ def expand_blocks(blocks: Iterable[tuple]) -> list:
     return out
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class CharacterList:
     """Multiset of rational twist exponents in integer-scaled run-length form:
     ``unit`` is the lcm of the value denominators and ``blocks`` holds one
@@ -53,7 +54,8 @@ class CharacterList:
     formula can be evaluated on any input.
     """
 
-    __slots__ = ("unit", "blocks")
+    unit: int
+    blocks: tuple[tuple[int, int], ...]
 
     def __init__(self, values: Iterable[Fraction | int] | Mapping[Fraction | int, int]):
         if isinstance(values, Mapping):
@@ -73,9 +75,6 @@ class CharacterList:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "blocks", tuple(blocks))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacterList is immutable")
-
     @property
     def values(self) -> tuple[Fraction, ...]:
         unit = self.unit
@@ -87,14 +86,6 @@ class CharacterList:
     def __iter__(self):
         return iter(self.values)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CharacterList):
-            return self.unit == other.unit and self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.unit, self.blocks))
-
     def __repr__(self) -> str:
         return f"CharacterList({list(self.values)})"
 
@@ -105,7 +96,7 @@ class CharacterList:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecayResult:
     """t = 1 - 2/p together with the argmax index set of the defining maximum.
 
@@ -245,7 +236,7 @@ def decay_t_arthur(a: Partition | Iterable[int]) -> Fraction:
     return Fraction(d1 - 1, n - a1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaximizerReport:
     """Brute-force argmax locations versus the block-boundary candidates."""
 

@@ -8,19 +8,21 @@ reverse-lexicographic order together with an independent counting recurrence.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .rationals import check_positive_int
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Partition:
     """Non-increasing tuple of positive integers; ``n`` is their sum.
 
     Constructors accept parts in any order and sort them.  Instances are
-    immutable and hashable.
+    immutable, equal to the tuple or list of their parts, and hash as the tuple.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
         ps = list(parts)
@@ -44,9 +46,6 @@ class Partition:
 
     def dual(self) -> "Partition":
         return dual_partition(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def __len__(self) -> int:
         return len(self.parts)

@@ -25,7 +25,7 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SupercuspidalLabel:
     """Opaque token for a supercuspidal building block on GL_dim."""
 
@@ -45,6 +45,7 @@ class SupercuspidalLabel:
         return cls(*json_fields(data, "id", "dim"))
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Segment:
     """Normalized segment <a,b>_rho with unitary rho; b - a is an integer >= 0.
 
@@ -52,7 +53,9 @@ class Segment:
     stored label is always read as unitary.
     """
 
-    __slots__ = ("rho", "a", "b")
+    rho: SupercuspidalLabel
+    a: Fraction
+    b: Fraction
 
     def __init__(self, rho: SupercuspidalLabel, a, b, twist=0):
         t = Fraction(twist)
@@ -65,9 +68,6 @@ class Segment:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Segment is immutable")
-
     @property
     def length(self) -> int:
         return int(self.b - self.a) + 1
@@ -79,14 +79,6 @@ class Segment:
     @property
     def midpoint(self) -> Fraction:
         return (self.a + self.b) / 2
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Segment):
-            return NotImplemented
-        return self.rho == other.rho and self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.rho, self.a, self.b))
 
     def __repr__(self) -> str:
         return f"Segment({self.rho.id}[{self.rho.dim}], {self.a}, {self.b})"
@@ -137,11 +129,12 @@ def _segment_sort_key(s: Segment):
     return (s.rho.id, -s.a, -s.b)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Multisegment:
     """Multiset of segments, stored in a canonical order where no earlier
     segment precedes a later one."""
 
-    __slots__ = ("segments",)
+    segments: tuple[Segment, ...]
 
     def __init__(self, segments: Iterable[Segment]):
         segs = tuple(sorted(segments, key=_segment_sort_key))
@@ -155,22 +148,11 @@ class Multisegment:
                 )
         object.__setattr__(self, "segments", segs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multisegment is immutable")
-
     def __len__(self) -> int:
         return len(self.segments)
 
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multisegment):
-            return NotImplemented
-        return self.segments == other.segments
-
-    def __hash__(self) -> int:
-        return hash(self.segments)
 
     def __repr__(self) -> str:
         return f"Multisegment({list(self.segments)})"

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .segments import SupercuspidalLabel
 MAX_SWEEP_N = 60
 """Largest N that ``verify_uncertainty_arthur`` and ``figure_rows`` accept.
 Both build every chunk of all p(N) partitions of N before any work starts:
-p(60) = 966,467 tuples (``figure --N 60`` peaks near 640 MB on one thread),
+p(60) = 966,467 tuples (``figure --N 60`` peaks near 580 MB on one thread),
 where p(100) = 190,569,292 would need about 28 GiB.  The partition stream
 itself (``partition_tuples``) is not capped."""
 
@@ -42,7 +41,7 @@ FIGURE_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantReport:
     """Bundled invariants of one representation (or one Arthur-SL2 partition)."""
 
@@ -57,7 +56,7 @@ class InvariantReport:
     note: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepSummary:
     """Outcome of a verification sweep; empty ``failures`` means the checked
     statements held on every case.  ``min_gap_lower`` is the least value of
@@ -134,6 +133,7 @@ def report_for_arthur_partition(a: Partition | Iterable[int]) -> InvariantReport
 
 def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
     if threads > 1 and len(jobs) > 1:
+        import multiprocessing  # here: only a pool needs it, and it adds ~10 ms to every start
         with multiprocessing.get_context().Pool(min(threads, len(jobs))) as pool:
             yield from pool.imap(worker, jobs)
     else:
@@ -264,7 +264,7 @@ def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
 # figure dataset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FigureRow:
     partition: tuple[int, ...]
     d_gk: int
@@ -464,7 +464,7 @@ def verify_uncertainty_unitary(
 # two-route consistency sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistencyBudget:
     """Limits for the exhaustive summand sweep; each is a positive integer
     (``max_total_dim`` may be None, for no cap)."""

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from gln_invariants.cli import main, parse_rep
+import gln_invariants
+from gln_invariants.cli import MAX_INPUT_N, main, parse_rep
 from gln_invariants.arthur import UnitaryRep
 from gln_invariants.partitions import partition_count
 from gln_invariants.segments import Multisegment
@@ -194,6 +200,32 @@ def test_json_boolean_is_not_an_integer(tmp_path, capsys, bad, field):
     assert f"{field}: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "big, field",
+    [
+        ({"summands": [{"rho": _rho("r", MAX_INPUT_N + 1), "a": 1, "d": 1}]}, "summands"),
+        ({"summands": [{"rho": _rho("r", 10**9), "a": 1, "d": 1}]}, "summands"),
+        ({"segments": [{"rho": _rho("r"), "a": "0", "b": str(MAX_INPUT_N)}]}, "segments"),
+        ({"segments": [{"rho": _rho("r"), "a": "0", "b": str(10**9)}]}, "segments"),
+    ],
+)
+def test_input_above_the_size_cap_rejected(tmp_path, capsys, big, field):
+    path = write(tmp_path, "big.json", big)
+    for command in ("invariants", "dual"):
+        assert main([command, "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: total dimension ")
+        assert f"exceeds the cap of {MAX_INPUT_N}" in captured.err
+
+
+def test_input_at_the_size_cap_accepted():
+    at_cap = {"summands": [{"rho": _rho("r", MAX_INPUT_N // 2), "a": 1, "d": 2}]}
+    assert parse_rep(json.dumps(at_cap)).N == MAX_INPUT_N
+    at_cap = {"segments": [{"rho": _rho("r"), "a": "0", "b": str(MAX_INPUT_N - 1)}]}
+    assert parse_rep(json.dumps(at_cap)).total_dim == MAX_INPUT_N
+
+
 def test_missing_input_file_is_exit_4(tmp_path, capsys):
     assert main(["invariants", "--input", str(tmp_path / "nope.json")]) == 4
     assert "i/o error" in capsys.readouterr().err
@@ -370,3 +402,44 @@ def test_violation_exit_code_path(capsys):
     assert _emit_summary(fake, "partitions", args, sys.stdout) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "1 failures" in out and "FAIL" in out
+
+
+# Runs the CLI with the Arthur sweep's full-scan cross-check forced wrong, so
+# every partition of N but [N] fails inside a worker process.  `fork` carries
+# the patched function into the workers.
+FORCED_FAILURE = textwrap.dedent(
+    """
+    import multiprocessing, sys
+    multiprocessing.set_start_method("fork")
+    from gln_invariants import verify
+    from gln_invariants.cli import main
+    verify._scan_two_xi = lambda parts, n: (1, 1)
+    sys.exit(main(sys.argv[1:]))
+    """
+)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_failure_in_a_worker_exits_3_with_its_rows():
+    # p(26) = 2436 partitions make two chunks, so --threads 2 uses a pool; a
+    # failure report that cannot cross back from a worker hangs the pool,
+    # which the timeout turns into a test failure
+    path = [os.path.dirname(os.path.dirname(gln_invariants.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    outputs = []
+    for threads in ("1", "2"):
+        argv = ["verify-arthur", "--N", "26", "--threads", threads]
+        run = subprocess.run(
+            [sys.executable, "-c", FORCED_FAILURE, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 3, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[0] == "checked 2436 partitions, 2435 failures"
+        assert sum(line.startswith("FAIL {") for line in lines) == 2435
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

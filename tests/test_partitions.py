@@ -139,4 +139,5 @@ def test_partition_equality_and_hash():
     assert Partition([2, 1]) == Partition([1, 2])
     assert hash(Partition([2, 1])) == hash(Partition([1, 2]))
     assert Partition([2, 1]) == (2, 1)
+    assert hash(Partition([2, 1])) == hash((2, 1))
     assert str(Partition([3, 1, 1])) == "3+1+1"

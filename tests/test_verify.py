@@ -1,15 +1,20 @@
+import dataclasses
 import io
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from gln_invariants.decay import _max_ratio_scan, expand_blocks
+from gln_invariants.arthur import ArthurSummand, UnitaryRep
+from gln_invariants.decay import CharacterList, _max_ratio_scan, expand_blocks
 from gln_invariants.partitions import Partition, partition_count, partition_tuples
 from gln_invariants.rationals import InputError
+from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 from gln_invariants.verify import (
     MAX_SWEEP_N,
     ConsistencyBudget,
     FIGURE_CSV_HEADER,
+    SweepSummary,
     _scan_two_xi,
     figure_rows,
     report_for_arthur_partition,
@@ -36,6 +41,32 @@ def test_single_row_reports():
 
     char = report_for_arthur_partition([5])
     assert char.g == 1 and char.t == 1
+
+
+def test_value_types_survive_pickling():
+    # a sweep's failing summary is pickled back from its worker process; a
+    # type that cannot be unpickled kills the pool's result thread, and the
+    # sweep then waits forever
+    rho = SupercuspidalLabel("r", 2)
+    seg = Segment(rho, Fraction(-1, 2), Fraction(3, 2))
+    values = [
+        Partition([2, 1]),
+        seg,
+        Multisegment([seg, Segment(rho, 0, 0, twist=Fraction(1, 3))]),
+        UnitaryRep([ArthurSummand(rho, 1, 2, Fraction(1, 5)),
+                    ArthurSummand(rho, 1, 2, Fraction(-1, 5))]),
+        CharacterList([Fraction(1, 2), 0, 0, Fraction(-1, 2)]),
+        SweepSummary(N=4, count=1, failures=[report_for_arthur_partition([2, 2])],
+                     min_gap_lower=Fraction(1, 6)),
+    ]
+    for value in values:
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+        assert repr(back) == repr(value)
+        assert not hasattr(value, "__dict__")
+    for value in values[:-1]:  # all but the mutable SweepSummary are frozen
+        with pytest.raises(AttributeError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
 
 
 def test_arthur_sweep_small():
