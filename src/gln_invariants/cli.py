@@ -51,24 +51,21 @@ MAX_INPUT_N = 100_000
 without a cap a 62-byte input with ``"dim": 1000000000`` asks for 10^9 parts."""
 
 
-ParseError = InputError
-
-
 def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
-    """Parse a JSON-described representation; raises ParseError naming the
+    """Parse a JSON-described representation; raises InputError naming the
     offending field on any violated constraint, or when its total dimension
     exceeds MAX_INPUT_N."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError("<input>", f"not valid UTF-8: {exc}") from None
+            raise InputError("<input>", f"not valid UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError("<input>", f"invalid JSON: {exc}") from None
+        raise InputError("<input>", f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ParseError("<input>", "expected a JSON object")
+        raise InputError("<input>", "expected a JSON object")
     if "summands" in data:
         rep, field = UnitaryRep.from_json(data), "summands"
         n = rep.N
@@ -76,11 +73,11 @@ def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
         rep, field = Multisegment.from_json(data), "segments"
         n = rep.total_dim
     else:
-        raise ParseError(
+        raise InputError(
             "<input>", "expected 'summands' (unitarizable form) or 'segments' (multisegment)"
         )
     if n > MAX_INPUT_N:
-        raise ParseError(field, f"total dimension {n} exceeds the cap of {MAX_INPUT_N}")
+        raise InputError(field, f"total dimension {n} exceeds the cap of {MAX_INPUT_N}")
     return rep
 
 
@@ -225,16 +222,16 @@ def _emit_summary(summary: SweepSummary, what: str, args, out: IO[str]) -> int:
 def _resolve_threads(args) -> int:
     if args.threads is not None:
         if args.threads < 1:
-            raise ParseError("--threads", "must be a positive integer")
+            raise InputError("--threads", "must be a positive integer")
         return args.threads
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
             value = int(env)
         except ValueError:
-            raise ParseError(THREADS_ENV_VAR, f"not an integer: {env!r}") from None
+            raise InputError(THREADS_ENV_VAR, f"not an integer: {env!r}") from None
         if value < 1:
-            raise ParseError(THREADS_ENV_VAR, "must be a positive integer")
+            raise InputError(THREADS_ENV_VAR, "must be a positive integer")
         return value
     return os.cpu_count() or 1
 
@@ -273,7 +270,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_dual(args) -> int:
     rep = parse_rep(_read_input(args))
     if not isinstance(rep, UnitaryRep):
-        raise ParseError(
+        raise InputError(
             "<input>",
             "dual requires the unitarizable summand form; "
             "general multisegment duality is not supported",
@@ -294,7 +291,7 @@ def _parse_grid(text: str) -> list[Fraction]:
     try:
         return [parse_rat(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ParseError("--twist-grid", str(exc)) from None
+        raise InputError("--twist-grid", str(exc)) from None
 
 
 def _cmd_verify_unitary(args) -> int:

@@ -74,13 +74,21 @@ class Partition:
 
 
 def dual_partition(p: Partition | Iterable[int]) -> Partition:
-    """Dual (conjugate) partition: the j-th part counts parts of p of size >= j."""
+    """Dual (conjugate) partition: the j-th part counts parts of p of size >= j.
+    Built in O(len(p) + d1), d1 the largest part, from the count of each part
+    size and a running suffix sum of those counts."""
     parts = p.parts if isinstance(p, Partition) else tuple(sorted(p, reverse=True))
     if not parts:
         raise ValueError("empty partition")
+    counts = [0] * (parts[0] + 1)
+    for q in parts:
+        counts[q] += 1
     out = []
-    for j in range(1, parts[0] + 1):
-        out.append(sum(1 for q in parts if q >= j))
+    at_least = 0
+    for j in range(parts[0], 0, -1):
+        at_least += counts[j]
+        out.append(at_least)
+    out.reverse()
     return Partition._from_sorted(tuple(out))
 
 
@@ -106,13 +114,9 @@ def dominance_leq(p1: Partition, p2: Partition) -> bool:
 def orbit_dim(p: Partition | Iterable[int]) -> int:
     """Dimension of the nilpotent orbit attached to p: N^2 minus the sum of the
     squares of the dual parts.  Always even and non-negative."""
-    parts = p.parts if isinstance(p, Partition) else tuple(sorted(p, reverse=True))
-    n = sum(parts)
-    total = n * n
-    for j in range(1, parts[0] + 1):
-        c = sum(1 for q in parts if q >= j)
-        total -= c * c
-    return total
+    dual = dual_partition(p).parts
+    n = sum(dual)
+    return n * n - sum(c * c for c in dual)
 
 
 def partition_tuples(n: int) -> Iterator[tuple[int, ...]]:

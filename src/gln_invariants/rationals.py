@@ -76,16 +76,22 @@ def rat_str(x: Fraction) -> str:
 
 
 def rat_decimal(x: Fraction, digits: int = 12) -> str:
-    """Fixed-point decimal rendering with `digits` fractional digits.
+    """Fixed-point decimal rendering of ``x`` with `digits` fractional digits
+    (see :func:`ratio_decimal`)."""
+    x = Fraction(x)
+    return ratio_decimal(x.numerator, x.denominator, digits)
+
+
+def ratio_decimal(num: int, den: int, digits: int = 12) -> str:
+    """Fixed-point decimal rendering of num/den (den > 0, any sign of num)
+    with `digits` fractional digits.
 
     Rounding is exact (round half to even on the scaled integer), so the
     rendering is independent of binary floating point.
     """
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    num, den = abs(x.numerator), x.denominator
+    sign = "-" if num < 0 else ""
     scale = 10**digits
-    q, r = divmod(num * scale, den)
+    q, r = divmod(abs(num) * scale, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
     whole, frac = divmod(q, scale)

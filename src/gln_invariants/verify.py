@@ -10,7 +10,10 @@ Floats appear only in CSV rendering columns.
 
 Sweeps split the partition stream into chunks processed independently (worker
 processes when ``threads > 1``); summaries merge as a commutative monoid, so
-results are independent of the chunking.
+results are independent of the chunking.  The figure's workers render their
+chunks' CSV rows from integers, grouped by GK-dimension; the parent writes
+the groups in increasing GK-dimension, chunk by chunk, which is the sorted
+row order without a comparison sort of the rows.
 """
 
 from __future__ import annotations
@@ -26,15 +29,16 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 from .arthur import ArthurSummand, UnitaryRep
 from .decay import _max_ratio_blocks, decay_t, decay_t_arthur
 from .partitions import Partition, dual_partition, partition_count, partition_tuples
-from .rationals import InputError, check_positive_int, rat_decimal
+from .rationals import InputError, check_positive_int, ratio_decimal
 from .segments import SupercuspidalLabel
 
 MAX_SWEEP_N = 60
-"""Largest N that ``verify_uncertainty_arthur`` and ``figure_rows`` accept.
-Both build every chunk of all p(N) partitions of N before any work starts:
-p(60) = 966,467 tuples (``figure --N 60`` peaks near 580 MB on one thread),
-where p(100) = 190,569,292 would need about 28 GiB.  The partition stream
-itself (``partition_tuples``) is not capped."""
+"""Largest N that ``verify_uncertainty_arthur``, ``figure_rows`` and
+``write_figure_csv`` accept.  Each holds all p(N) partitions of N in memory:
+p(60) = 966,467 tuples (``figure --N 60`` peaks near 330 MB on one thread,
+its rendered rows included, and near 330 MB in the parent plus 270 MB in each
+worker on two), where p(100) = 190,569,292 would need about 200 times as
+much.  The partition stream itself (``partition_tuples``) is not capped."""
 
 FIGURE_CSV_HEADER = (
     "partition,d_gk,g_num,g_den,t_num,t_den,g_float,t_float,sqrt_g_float,lower_ok,upper_ok"
@@ -274,78 +278,101 @@ class FigureRow:
     upper_ok: bool
 
 
-def _figure_chunk(job) -> list[tuple]:
-    n, start, chunk = job
+def _figure_columns(n: int, s: int, sq: int, tn: int, td: int) -> tuple[int, str, bool]:
+    """(d_GK, the CSV columns after the partition, whether both bounds hold)
+    for a partition of n with the ``_partition_stats`` (s, sq, tn, td):
+    g = s/(n(n-1)) and t = tn/td, each reduced by gcd."""
     nn1 = n * (n - 1)
-    nsq = n * n
+    lower_ok = s * td <= tn * nn1
+    upper_ok = tn * tn * nn1 <= s * td * td
+    d_gk = (n * n - sq) // 2
+    k = math.gcd(s, nn1)
+    gn, gd = s // k, nn1 // k
+    k = math.gcd(tn, td)
+    tn, td = tn // k, td // k
+    tail = ",%d,%d,%d,%d,%d,%s,%s,%.12f,%s,%s\n" % (
+        d_gk,
+        gn,
+        gd,
+        tn,
+        td,
+        ratio_decimal(gn, gd),
+        ratio_decimal(tn, td),
+        math.sqrt(gn / gd),
+        "true" if lower_ok else "false",
+        "true" if upper_ok else "false",
+    )
+    return d_gk, tail, lower_ok and upper_ok
+
+
+def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
+    """The CSV rows of one chunk of partitions of n.  Returns (text, spans,
+    row count, rows violating a bound): ``text`` holds the chunk's rows by
+    increasing d_GK, in enumeration order within one d_GK, and ``spans``
+    maps each d_GK to the (start, end) of its rows in ``text``.  One string
+    per chunk, not one per d_GK: freed mid-sized strings stay in the
+    parent's heap after a call, and the next pool's forked workers count
+    them in their RSS.  Rows share their columns after the partition with
+    every row of equal ``_partition_stats`` (8,060 distinct among the
+    204,226 partitions of 50), so those are rendered once per chunk."""
+    n, chunk = job
+    rendered: dict[tuple[int, int, int, int], tuple[int, str, bool]] = {}
+    lines: dict[int, list[str]] = {}
+    violations = 0
+    for parts in chunk:
+        stats = _partition_stats(parts, n)
+        row = rendered.get(stats)
+        if row is None:
+            row = rendered[stats] = _figure_columns(n, *stats)
+        d_gk, tail, ok = row
+        if not ok:
+            violations += 1
+        lines.setdefault(d_gk, []).append("+".join(map(str, parts)) + tail)
+    rows, spans, at = [], {}, 0
+    for d_gk in sorted(lines):
+        group = lines[d_gk]
+        size = sum(map(len, group))
+        spans[d_gk] = (at, at + size)
+        at += size
+        rows += group
+    return "".join(rows), spans, len(chunk), violations
+
+
+def figure_rows(N: int) -> list[FigureRow]:
+    """One row per partition of N, sorted by GK-dimension and then by the
+    canonical enumeration order.  All fields exact; the verdicts compare
+    ``Fraction``s.  N must lie in 2..MAX_SWEEP_N."""
+    check_sweep_n(N, "figure")
     rows = []
-    for offset, parts in enumerate(chunk):
-        s, sq, tn, td = _partition_stats(parts, n)
-        d_gk = (nsq - sq) // 2
-        lower_ok = s * td <= tn * nn1
-        upper_ok = tn * tn * nn1 <= s * td * td
-        rows.append((d_gk, start + offset, parts, s, tn, td, lower_ok, upper_ok))
+    for parts in partition_tuples(N):
+        s, sq, tn, td = _partition_stats(parts, N)
+        g, t = Fraction(s, N * (N - 1)), Fraction(tn, td)
+        rows.append(FigureRow(parts, (N * N - sq) // 2, g, t, g <= t, t * t <= g))
+    rows.sort(key=lambda r: r.d_gk)
     return rows
 
 
-def figure_rows(N: int, threads: int = 1) -> list[FigureRow]:
-    """One row per partition of N, sorted by GK-dimension and then by the
-    canonical enumeration order.  All fields exact.  N must lie in
-    2..MAX_SWEEP_N."""
-    check_sweep_n(N, "figure")
-    nn1 = N * (N - 1)
-    size = _chunk_size(partition_count(N), threads)
-    jobs = []
-    start = 0
-    for chunk in _chunked(partition_tuples(N), size):
-        jobs.append((N, start, chunk))
-        start += len(chunk)
-    raw: list[tuple] = []
-    for rows in _map_chunks(_figure_chunk, jobs, threads):
-        raw.extend(rows)
-    raw.sort(key=lambda r: (r[0], r[1]))
-    return [
-        FigureRow(
-            partition=parts,
-            d_gk=d_gk,
-            g=Fraction(s, nn1),
-            t=Fraction(tn, td),
-            lower_ok=lower_ok,
-            upper_ok=upper_ok,
-        )
-        for d_gk, _, parts, s, tn, td, lower_ok, upper_ok in raw
-    ]
-
-
 def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
-    """Write the figure dataset as CSV (LF endings); returns (row count,
-    number of rows violating a bound).
+    """Write the figure dataset (the rows of ``figure_rows``) as CSV with LF
+    endings; returns (row count, number of rows violating a bound).
 
-    Output is byte-identical across runs and thread counts.
+    Workers render their chunks' rows grouped by d_GK; the groups are
+    written in increasing d_GK and, within one d_GK, in job order.  Chunks
+    follow enumeration order, so no sort of the rows is needed and the
+    output is byte-identical across runs and thread counts.  N must lie in
+    2..MAX_SWEEP_N.
     """
-    rows = figure_rows(N, threads=threads)
-    violations = sum(1 for r in rows if not (r.lower_ok and r.upper_ok))
+    check_sweep_n(N, "figure")
+    size = _chunk_size(partition_count(N), threads)
+    jobs = [(N, chunk) for chunk in _chunked(partition_tuples(N), size)]
+    texts, spans, counts, violations = zip(*_map_chunks(_figure_chunk, jobs, threads))
     out.write(FIGURE_CSV_HEADER + "\n")
-    for row in rows:
-        g, t = row.g, row.t
-        sqrt_g = math.sqrt(g.numerator / g.denominator)
-        out.write(
-            "%s,%d,%d,%d,%d,%d,%s,%s,%.12f,%s,%s\n"
-            % (
-                "+".join(str(p) for p in row.partition),
-                row.d_gk,
-                g.numerator,
-                g.denominator,
-                t.numerator,
-                t.denominator,
-                rat_decimal(g),
-                rat_decimal(t),
-                sqrt_g,
-                "true" if row.lower_ok else "false",
-                "true" if row.upper_ok else "false",
-            )
-        )
-    return len(rows), violations
+    for d_gk in sorted(set().union(*spans)):
+        for text, span in zip(texts, spans):
+            if d_gk in span:
+                start, end = span[d_gk]
+                out.write(text[start:end])
+    return sum(counts), sum(violations)
 
 
 # ---------------------------------------------------------------------------

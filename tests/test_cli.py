@@ -443,3 +443,23 @@ def test_failure_in_a_worker_exits_3_with_its_rows():
         assert sum(line.startswith("FAIL {") for line in lines) == 2435
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_long_part_beside_many_unit_parts_finishes_quickly(tmp_path):
+    # Arthur-SL2 [50000, 1^50000]: a dual built column by column makes 50,000
+    # passes over 50,001 parts, which ran for about 46 s
+    hook = {"summands": [{"rho": _rho("r"), "a": 1, "d": 50000},
+                         {"rho": _rho("s", 50000), "a": 1, "d": 1}]}
+    path = write(tmp_path, "hook.json", hook)
+    src = [os.path.dirname(os.path.dirname(gln_invariants.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        src.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "gln_invariants", "invariants", "--input", path],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert run.returncode == 0, run.stderr
+    data = json.loads(run.stdout)
+    assert data["arthur_sl2"] == [50000] + [1] * 50000
+    assert data["wavefront"] == [50001] + [1] * 49999

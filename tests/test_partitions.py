@@ -55,6 +55,30 @@ def test_dual_matches_transpose_oracle_and_is_involution():
             assert dual_partition(d) == p
 
 
+def dual_per_column(parts):
+    """The dual as computed column by column: one pass over all parts per
+    column, O(d1 * len)."""
+    return tuple(sum(1 for q in parts if q >= j) for j in range(1, parts[0] + 1))
+
+
+def orbit_dim_per_column(parts):
+    n = sum(parts)
+    total = n * n
+    for j in range(1, parts[0] + 1):
+        c = sum(1 for q in parts if q >= j)
+        total -= c * c
+    return total
+
+
+def test_dual_and_orbit_dim_match_per_column_oracle():
+    for n in range(1, 21):
+        for parts in partition_tuples(n):
+            assert dual_partition(parts).parts == dual_per_column(parts)
+            assert dual_partition(reversed(parts)).parts == dual_per_column(parts)
+            assert orbit_dim(parts) == orbit_dim_per_column(parts)
+            assert orbit_dim(Partition._from_sorted(parts)) == orbit_dim_per_column(parts)
+
+
 def test_dominance_examples():
     assert dominance_leq(Partition([1, 1, 1, 1]), Partition([4]))
     assert dominance_leq(Partition([2, 2]), Partition([3, 1]))

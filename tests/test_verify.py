@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import pickle
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from gln_invariants.arthur import ArthurSummand, UnitaryRep
 from gln_invariants.decay import CharacterList, _max_ratio_scan, expand_blocks
 from gln_invariants.partitions import Partition, partition_count, partition_tuples
-from gln_invariants.rationals import InputError
+from gln_invariants import verify
+from gln_invariants.rationals import InputError, rat_decimal
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 from gln_invariants.verify import (
     MAX_SWEEP_N,
@@ -93,7 +95,8 @@ def test_arthur_sweep_rejects_small_n():
 
 
 def test_sweeps_holding_every_partition_are_capped():
-    for sweep in (verify_uncertainty_arthur, figure_rows):
+    figure_csv = lambda n: write_figure_csv(n, io.StringIO())  # noqa: E731
+    for sweep in (verify_uncertainty_arthur, figure_rows, figure_csv):
         with pytest.raises(InputError) as err:
             sweep(MAX_SWEEP_N + 1)
         assert err.value.field == "N"
@@ -235,3 +238,46 @@ def test_figure_csv_row_format():
     assert fields[1] == "4"  # d_gk
     assert (fields[2], fields[3]) == ("1", "3")  # g = 1/3
     assert (fields[4], fields[5]) == ("1", "2")  # t = 1/2
+
+
+def figure_csv_oracle(n):
+    """The figure CSV rendered row by row from ``figure_rows``: Fraction g
+    and t, ``rat_decimal`` and a float square root of g.  Returns (text, row
+    count, rows violating a bound)."""
+    rows = figure_rows(n)
+    out = [FIGURE_CSV_HEADER + "\n"]
+    for row in rows:
+        g, t = row.g, row.t
+        out.append(
+            "%s,%d,%d,%d,%d,%d,%s,%s,%.12f,%s,%s\n"
+            % (
+                "+".join(str(p) for p in row.partition),
+                row.d_gk,
+                g.numerator,
+                g.denominator,
+                t.numerator,
+                t.denominator,
+                rat_decimal(g),
+                rat_decimal(t),
+                math.sqrt(g.numerator / g.denominator),
+                "true" if row.lower_ok else "false",
+                "true" if row.upper_ok else "false",
+            )
+        )
+    violations = sum(1 for r in rows if not (r.lower_ok and r.upper_ok))
+    return "".join(out), len(rows), violations
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_figure_csv_matches_row_oracle(monkeypatch, threads, chunk):
+    # chunk 7 splits every N into many chunks, so rows of one d_GK arrive
+    # from many buckets; by default N <= 25 fits one chunk and N = 26..30
+    # take two or three
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_chunk_size", lambda total, threads: chunk)
+    for n in range(2, 31):
+        text, count, violations = figure_csv_oracle(n)
+        buf = io.StringIO()
+        assert write_figure_csv(n, buf, threads=threads) == (count, violations)
+        assert buf.getvalue() == text
