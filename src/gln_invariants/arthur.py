@@ -10,6 +10,7 @@ non-genericity parameter g.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +43,9 @@ class ArthurSummand:
     def __post_init__(self):
         check_positive_int(self.a, "a")
         check_positive_int(self.d, "d")
-        object.__setattr__(self, "x", Fraction(self.x))
-        if abs(self.x) >= Fraction(1, 2):
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        if 2 * abs(self.x.numerator) >= self.x.denominator:
             raise InputError(
                 "x",
                 "twist must lie strictly inside the open interval (-1/2, 1/2), "
@@ -138,14 +140,17 @@ class UnitaryRep:
 
     def langlands_data(self) -> Multisegment:
         """Expand to the Langlands multisegment: for each summand and each
-        j = 1..d, the segment centered at x + (d-2j+1)/2 of length a."""
+        j = 1..d, the segment centered at x + (d-2j+1)/2 of length a.  With
+        x = p/q, the endpoints are built as integers over the unit 2q."""
         segs = []
         for s in self.summands:
-            lo = Fraction(1 - s.a, 2)
-            hi = Fraction(s.a - 1, 2)
-            for j in range(1, s.d + 1):
-                center = s.x + Fraction(s.d - 2 * j + 1, 2)
-                segs.append(Segment(s.rho, center + lo, center + hi))
+            q = s.x.denominator
+            unit = 2 * q
+            lo = 2 * s.x.numerator + (s.d - s.a) * q  # j = 1: x + (d-1)/2 - (a-1)/2
+            span = (s.a - 1) * unit
+            for _ in range(s.d):
+                segs.append(Segment._from_ints(s.rho, lo, lo + span, unit))
+                lo -= unit
         return Multisegment(segs)
 
     def az_dual(self) -> "UnitaryRep":
@@ -162,9 +167,9 @@ class UnitaryRep:
     def arthur_sl2(self) -> Partition:
         """Partition with d repeated rho.dim * a times per summand."""
         parts = []
-        for s in self.summands:
+        for s in self.summands:  # canonical order: d non-increasing
             parts.extend([s.d] * (s.rho.dim * s.a))
-        return Partition(parts)
+        return Partition._from_sorted(tuple(parts))
 
     def gk_dim(self) -> Fraction:
         """Half of N^2 minus the sum of d^2 over the Arthur-SL2 entries."""
@@ -174,14 +179,17 @@ class UnitaryRep:
 
     def character(self) -> CharacterList:
         """Character multiset: for each augmented entry (x, d) the string
-        x + (d-1)/2, x + (d-3)/2, ..., x + (1-d)/2."""
-        counts: dict[Fraction, int] = {}
+        x + (d-1)/2, x + (d-3)/2, ..., x + (1-d)/2.  Built in integers over
+        the unit 2 lcm(twist denominators)."""
+        unit = 2 * math.lcm(*{s.x.denominator for s in self.summands})
+        half = unit // 2
+        counts: dict[int, int] = {}
         for s in self.summands:
             mult = s.rho.dim * s.a
-            for k in range(s.d - 1, -s.d, -2):
-                value = s.x + Fraction(k, 2)
+            x = s.x.numerator * (unit // s.x.denominator)
+            for value in range(x + (s.d - 1) * half, x - s.d * half, -unit):
                 counts[value] = counts.get(value, 0) + mult
-        return CharacterList(counts)
+        return CharacterList._from_scaled(unit, counts)
 
     def non_genericity(self) -> Fraction:
         """g = 1 - gk_dim / (N(N-1)/2), in [0, 1]; 0 for generic data and 1

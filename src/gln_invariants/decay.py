@@ -75,6 +75,20 @@ class CharacterList:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "blocks", tuple(blocks))
 
+    @classmethod
+    def _from_scaled(cls, unit: int, counts: Mapping[int, int]) -> "CharacterList":
+        """Trusted constructor: the values v/unit with multiplicity
+        counts[v], every multiplicity a positive ``int``.  Dividing out
+        gcd(unit, *values) leaves the lcm of the reduced denominators as the
+        unit, the form the public constructor builds."""
+        k = math.gcd(unit, *counts)
+        self = object.__new__(cls)
+        object.__setattr__(self, "unit", unit // k)
+        object.__setattr__(
+            self, "blocks", tuple(sorted(((v // k, m) for v, m in counts.items()), reverse=True))
+        )
+        return self
+
     @property
     def values(self) -> tuple[Fraction, ...]:
         unit = self.unit

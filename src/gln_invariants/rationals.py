@@ -1,10 +1,12 @@
 """Exact rational parsing and rendering, and the input error the models raise.
 
 Every invariant in this package is an exact rational number.  Characters
-are integers over one common denominator (``decay.CharacterList``);
-``fractions.Fraction`` is built at the API edge (parsing, rendering) and in
-the models not yet moved to integers.  Floats never enter a computation;
-they appear only in rendering helpers for CSV/JSON output columns.
+are integers over one common denominator (``decay.CharacterList``) and
+segment endpoints integers over a unit (``segments.Segment``);
+``fractions.Fraction`` is built at the API edge (parsing, rendering) and for
+single rationals such as a twist or a GK-dimension.  Floats never enter a
+computation; they appear only in rendering helpers for CSV/JSON output
+columns.
 
 The models (labels, summands, segments and their sums) check their own
 fields and read their own JSON with the helpers below, so every input check

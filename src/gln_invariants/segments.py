@@ -4,16 +4,23 @@ A segment <a,b>_rho is the set of twists |.|^a rho, ..., |.|^b rho with
 b - a a non-negative integer.  Multisegments (multisets of segments) carry
 both classifications of irreducible representations; only the label's
 identity and ambient dimension enter any formula implemented here.
+
+Endpoints are integers over a unit (``Segment.lo``/``hi`` over
+``Segment.unit``), as characters are (``decay.CharacterList``): the
+canonical order of a multisegment and its character are computed in
+integers over the lcm of its segments' units, and ``Fraction`` is built only
+where an endpoint or midpoint leaves the API.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .decay import CharacterList
-from .partitions import Partition, dual_partition, orbit_dim
+from .partitions import Partition, dual_partition
 from .rationals import (
     InputError,
     check_positive_int,
@@ -49,13 +56,18 @@ class SupercuspidalLabel:
 class Segment:
     """Normalized segment <a,b>_rho with unitary rho; b - a is an integer >= 0.
 
-    An optional ``twist`` is folded into the endpoints on construction, so the
-    stored label is always read as unitary.
+    The endpoints are stored as integers over one unit: a = lo/unit and
+    b = hi/unit, with ``unit`` the reduced denominator of a (and so of b),
+    which makes the stored form canonical.  ``a``, ``b`` and ``midpoint``
+    are built as ``Fraction``s when read.  An optional ``twist`` is folded
+    into the endpoints on construction, so the stored label is always read
+    as unitary.
     """
 
     rho: SupercuspidalLabel
-    a: Fraction
-    b: Fraction
+    unit: int
+    lo: int
+    hi: int
 
     def __init__(self, rho: SupercuspidalLabel, a, b, twist=0):
         t = Fraction(twist)
@@ -65,12 +77,34 @@ class Segment:
         if span.denominator != 1 or span < 0:
             raise InputError("b", f"b - a must be a non-negative integer, got {rat_str(span)}")
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # b - a is an integer, so b has a's denominator
+        object.__setattr__(self, "unit", a.denominator)
+        object.__setattr__(self, "lo", a.numerator)
+        object.__setattr__(self, "hi", b.numerator)
+
+    @classmethod
+    def _from_ints(cls, rho: SupercuspidalLabel, lo: int, hi: int, unit: int) -> "Segment":
+        """Trusted constructor: the segment <lo/unit, hi/unit>_rho, where
+        unit > 0 and hi - lo is a non-negative multiple of unit."""
+        k = math.gcd(lo, unit)
+        self = object.__new__(cls)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "unit", unit // k)
+        object.__setattr__(self, "lo", lo // k)
+        object.__setattr__(self, "hi", hi // k)
+        return self
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.lo, self.unit)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.hi, self.unit)
 
     @property
     def length(self) -> int:
-        return int(self.b - self.a) + 1
+        return (self.hi - self.lo) // self.unit + 1
 
     @property
     def ambient_dim(self) -> int:
@@ -78,7 +112,7 @@ class Segment:
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.a + self.b) / 2
+        return Fraction(self.lo + self.hi, 2 * self.unit)
 
     def __repr__(self) -> str:
         return f"Segment({self.rho.id}[{self.rho.dim}], {self.a}, {self.b})"
@@ -123,12 +157,6 @@ def precedes(s1: Segment, s2: Segment) -> bool:
     return s1.b < s2.b and s2.a <= s1.b + 1
 
 
-def _segment_sort_key(s: Segment):
-    # a-descending within a cuspidal line: since `precedes` needs a1 < a2, no
-    # earlier segment can precede a later one.
-    return (s.rho.id, -s.a, -s.b)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Multisegment:
     """Multiset of segments, stored in a canonical order where no earlier
@@ -137,16 +165,21 @@ class Multisegment:
     segments: tuple[Segment, ...]
 
     def __init__(self, segments: Iterable[Segment]):
-        segs = tuple(sorted(segments, key=_segment_sort_key))
+        segs = list(segments)
         if not segs:
             raise InputError("segments", "multisegment must contain at least one segment")
+        # by label, then a descending, then b descending, compared as integers
+        # over the lcm of the units: since `precedes` needs a1 < a2, no earlier
+        # segment can precede a later one
+        unit = math.lcm(*{s.unit for s in segs})
+        segs.sort(key=lambda s: (s.rho.id, -s.lo * (unit // s.unit), -s.hi * (unit // s.unit)))
         dims = {}
         for s in segs:
             if dims.setdefault(s.rho.id, s.rho.dim) != s.rho.dim:
                 raise InputError(
                     "segments", f"label {s.rho.id!r} used with inconsistent dimensions"
                 )
-        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "segments", tuple(segs))
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -166,7 +199,8 @@ class Multisegment:
         parts = []
         for s in self.segments:
             parts.extend([s.length] * s.rho.dim)
-        return Partition(parts)
+        parts.sort(reverse=True)
+        return Partition._from_sorted(tuple(parts))
 
     def wavefront(self) -> Partition:
         """Wavefront partition: the dual of :meth:`partition` (this multisegment
@@ -181,12 +215,14 @@ class Multisegment:
 
     def character(self) -> CharacterList:
         """Character multiset (Langlands reading): each segment's midpoint with
-        multiplicity N_i * length_i.  Cardinality equals total_dim."""
-        counts: dict[Fraction, int] = {}
+        multiplicity N_i * length_i.  Cardinality equals total_dim.  Built in
+        integers: the midpoint (lo + hi)/(2 unit) is scaled to 2 lcm(units)."""
+        unit = 2 * math.lcm(*{s.unit for s in self.segments})
+        counts: dict[int, int] = {}
         for s in self.segments:
-            mid = s.midpoint
+            mid = (s.lo + s.hi) * (unit // (2 * s.unit))
             counts[mid] = counts.get(mid, 0) + s.ambient_dim
-        return CharacterList(counts)
+        return CharacterList._from_scaled(unit, counts)
 
     def is_tempered(self) -> bool:
         """Langlands reading: tempered mod center iff all midpoints coincide."""
@@ -200,8 +236,3 @@ class Multisegment:
     def from_json(cls, data) -> "Multisegment":
         return cls(json_list(data, "segments", Segment.from_json))
 
-
-def gk_dim_from_wavefront(m: Multisegment) -> Fraction:
-    """GK-dimension recomputed as half the dimension of the wavefront orbit.
-    Second route used by consistency checks."""
-    return Fraction(orbit_dim(m.wavefront()), 2)

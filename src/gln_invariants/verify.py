@@ -28,7 +28,13 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
 from .decay import _max_ratio_blocks, decay_t, decay_t_arthur
-from .partitions import Partition, dual_partition, partition_count, partition_tuples
+from .partitions import (
+    Partition,
+    dual_partition,
+    orbit_dim,
+    partition_count,
+    partition_tuples,
+)
 from .rationals import InputError, check_positive_int, ratio_decimal
 from .segments import SupercuspidalLabel
 
@@ -532,9 +538,13 @@ def _rep_from_specs(specs: Sequence[tuple[int, int, int, int, int, int]]) -> Uni
 def _check_consistency_rep(pi: UnitaryRep) -> list[str]:
     notes = []
     m_zel = pi.zelevinsky_data()
-    if pi.gk_dim() != m_zel.gk_dim():
+    wavefront = m_zel.wavefront()
+    d_gk = pi.gk_dim()
+    if d_gk != m_zel.gk_dim():
         notes.append("GK-dimension differs between Arthur and Zelevinsky routes")
-    if dual_partition(pi.arthur_sl2()) != m_zel.wavefront():
+    if d_gk != Fraction(orbit_dim(wavefront), 2):
+        notes.append("GK-dimension differs from half the wavefront orbit dimension")
+    if dual_partition(pi.arthur_sl2()) != wavefront:
         notes.append("wavefront differs between Arthur and Zelevinsky routes")
     if pi.character() != pi.langlands_data().character():
         notes.append("character differs between Arthur and Langlands routes")

@@ -12,11 +12,18 @@ labels = st.builds(
 
 half_integers = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
 
+# half-integers and endpoints over 3, 4 and 20, so one cuspidal line mixes
+# units and the integer order over their lcm is exercised
+endpoints = st.one_of(
+    half_integers,
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([3, 4, 20])),
+)
+
 
 @st.composite
 def segments(draw, label=None):
     rho = label if label is not None else draw(labels)
-    a = draw(half_integers)
+    a = draw(endpoints)
     length = draw(st.integers(1, 4))
     return Segment(rho, a, a + length - 1)
 

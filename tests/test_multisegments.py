@@ -9,7 +9,6 @@ from gln_invariants.segments import (
     Multisegment,
     Segment,
     SupercuspidalLabel,
-    gk_dim_from_wavefront,
     is_linked,
     precedes,
 )
@@ -104,7 +103,6 @@ def test_gk_dim_examples():
 @given(multisegments())
 def test_gk_dim_two_routes_and_partition_sum(m):
     assert m.partition().n == m.total_dim
-    assert m.gk_dim() == gk_dim_from_wavefront(m)
     assert m.gk_dim() == Fraction(orbit_dim(m.wavefront()), 2)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -51,13 +52,18 @@ def test_value_types_survive_pickling():
     # sweep then waits forever
     rho = SupercuspidalLabel("r", 2)
     seg = Segment(rho, Fraction(-1, 2), Fraction(3, 2))
+    pi = UnitaryRep([ArthurSummand(rho, 1, 2, Fraction(1, 5)),
+                     ArthurSummand(rho, 1, 2, Fraction(-1, 5))])
     values = [
         Partition([2, 1]),
         seg,
         Multisegment([seg, Segment(rho, 0, 0, twist=Fraction(1, 3))]),
-        UnitaryRep([ArthurSummand(rho, 1, 2, Fraction(1, 5)),
-                    ArthurSummand(rho, 1, 2, Fraction(-1, 5))]),
+        pi,
         CharacterList([Fraction(1, 2), 0, 0, Fraction(-1, 2)]),
+        # built by the trusted integer constructors
+        pi.langlands_data(),
+        pi.langlands_data().segments[0],
+        pi.character(),
         SweepSummary(N=4, count=1, failures=[report_for_arthur_partition([2, 2])],
                      min_gap_lower=Fraction(1, 6)),
     ]
@@ -67,6 +73,7 @@ def test_value_types_survive_pickling():
         assert repr(back) == repr(value)
         assert not hasattr(value, "__dict__")
     for value in values[:-1]:  # all but the mutable SweepSummary are frozen
+        assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
         with pytest.raises(AttributeError):
             setattr(value, dataclasses.fields(value)[0].name, None)
 
@@ -194,6 +201,42 @@ def test_consistency_thread_determinism():
     par = verify_consistency(budget, random_cases=100, seed=3, threads=2)
     assert seq.count == par.count
     assert seq.ok and par.ok
+
+
+def test_consistency_reports_a_gk_dimension_off_the_wavefront(monkeypatch):
+    # the third GK route, half the wavefront orbit's dimension, is checked
+    # on every case: an orbit dimension off by 2 fails each one
+    real = verify.orbit_dim
+    monkeypatch.setattr(verify, "orbit_dim", lambda p: real(p) + 2)
+    budget = ConsistencyBudget(max_summands=1, max_dim=1, max_a=2, max_d=2)
+    summary = verify_consistency(budget, random_cases=3, seed=1)
+    assert summary.count == 4 + 3 and len(summary.failures) == summary.count
+    for report in summary.failures:
+        assert report.note == "GK-dimension differs from half the wavefront orbit dimension"
+
+
+def test_figure_counts_rows_violating_a_bound(monkeypatch, capsys):
+    # no real partition violates a bound, so some stats tuples are made to;
+    # a tuple's verdict is rendered once per chunk but counts once per row
+    # sharing it (5 rows of N = 19 share one)
+    from gln_invariants.cli import EXIT_VIOLATION, main
+
+    n = 19
+    stats, rows = Counter(
+        verify._partition_stats(p, n) for p in partition_tuples(n)
+    ).most_common(1)[0]
+    assert rows == 5
+    failing = {stats, verify._partition_stats((4, 4), 8)}
+    real = verify._figure_columns
+
+    def columns(n, *row_stats):
+        d_gk, tail, ok = real(n, *row_stats)
+        return d_gk, tail, ok and row_stats not in failing
+
+    monkeypatch.setattr(verify, "_figure_columns", columns)
+    assert write_figure_csv(n, io.StringIO(), threads=1) == (partition_count(n), rows)
+    assert main(["figure", "--N", "8", "--threads", "1"]) == EXIT_VIOLATION
+    assert "1 rows violate a bound" in capsys.readouterr().err
 
 
 def test_figure_rows_structure():
