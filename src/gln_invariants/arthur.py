@@ -84,9 +84,9 @@ class UnitaryRep:
     """Sum of summands in the shape of the unitarizable classification.
 
     The default constructor enforces that twisted summands occur in +/- pairs
-    with identical (rho, a, d); :meth:`unchecked` skips that pairing check and
-    admits arbitrary augmented data, on which every formula here is still
-    well-defined.
+    with identical (rho, a, d); the private ``_check_pairing=False`` skips
+    that pairing check and admits arbitrary augmented data, on which every
+    formula here is still well-defined.
     """
 
     summands: tuple[ArthurSummand, ...]
@@ -111,11 +111,6 @@ class UnitaryRep:
                         f"paired with the opposite twist -x"
                     )
         object.__setattr__(self, "summands", ss)
-
-    @classmethod
-    def unchecked(cls, summands: Iterable[ArthurSummand]) -> "UnitaryRep":
-        """Admit arbitrary augmented data without the +/- pairing constraint."""
-        return cls(summands, _check_pairing=False)
 
     def __len__(self) -> int:
         return len(self.summands)

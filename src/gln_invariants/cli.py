@@ -6,7 +6,7 @@ representation; ``verify-arthur``, ``verify-unitary`` and
 tightness dataset as CSV; ``partitions`` streams partitions of N.
 
 Exit codes: 0 success, 2 malformed input, 3 a verified statement failed
-(should be impossible), 4 I/O error.
+(should be impossible), 4 I/O error, 5 a sweep worker failed.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .segments import Multisegment
 from .verify import (
     ConsistencyBudget,
     InvariantReport,
+    SweepError,
     SweepSummary,
     check_sweep_n,
     report_for_rep,
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VIOLATION = 3
 EXIT_IO = 4
+EXIT_SWEEP = 5
 
 THREADS_ENV_VAR = "GLN_INVARIANTS_THREADS"
 
@@ -351,25 +353,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_n=False, needs_input=False):
+    def common(p, needs_n=False, needs_input=False, threads=True, formats=True):
         if needs_n:
             p.add_argument("--N", type=int, required=True, help="ambient dimension N")
         if needs_input:
             p.add_argument("--input", required=True, help="path to a JSON representation")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help=f"worker count (default: ${THREADS_ENV_VAR} or available parallelism)",
-        )
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        if threads:
+            p.add_argument(
+                "--threads",
+                type=int,
+                help=f"worker count (default: ${THREADS_ENV_VAR} or available parallelism)",
+            )
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), help="output format")
 
     p = sub.add_parser("invariants", help="invariants of a JSON-described representation")
-    common(p, needs_input=True)
+    common(p, needs_input=True, threads=False)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("dual", help="a <-> d duality swap of a unitarizable representation")
-    common(p, needs_input=True)
+    common(p, needs_input=True, threads=False, formats=False)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("verify-arthur", help="uncertainty sweep over all partitions of N")
@@ -400,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_consistency)
 
     p = sub.add_parser("figure", help="bound-tightness dataset for all partitions of N")
-    common(p, needs_n=True)
+    common(p, needs_n=True, formats=False)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("partitions", help="stream all partitions of N")
-    common(p, needs_n=True)
+    common(p, needs_n=True, threads=False)
     p.set_defaults(func=_cmd_partitions)
 
     return parser
@@ -418,6 +422,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SWEEP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, as_parts
 from .rationals import check_positive_int
 
 
@@ -237,9 +237,7 @@ def decay_t_arthur(a: Partition | Iterable[int]) -> Fraction:
     """Closed form for Arthur-type data: t = (d1 - 1)/(N - a1) where d1 is the
     largest part and a1 its multiplicity; t = 0 when d1 = 1 and t = 1 when the
     partition is [N]."""
-    parts = a.parts if isinstance(a, Partition) else tuple(sorted(a, reverse=True))
-    if not parts:
-        raise ValueError("empty partition")
+    parts = as_parts(a)
     n = sum(parts)
     if n < 2:
         raise ValueError("decay requires N >= 2")

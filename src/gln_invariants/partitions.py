@@ -73,13 +73,16 @@ class Partition:
         return "+".join(str(p) for p in self.parts)
 
 
+def as_parts(p: Partition | Iterable[int]) -> tuple[int, ...]:
+    """The non-increasing parts of ``p``, an iterable checked as ``Partition`` does."""
+    return p.parts if isinstance(p, Partition) else Partition(p).parts
+
+
 def dual_partition(p: Partition | Iterable[int]) -> Partition:
     """Dual (conjugate) partition: the j-th part counts parts of p of size >= j.
     Built in O(len(p) + d1), d1 the largest part, from the count of each part
     size and a running suffix sum of those counts."""
-    parts = p.parts if isinstance(p, Partition) else tuple(sorted(p, reverse=True))
-    if not parts:
-        raise ValueError("empty partition")
+    parts = as_parts(p)
     counts = [0] * (parts[0] + 1)
     for q in parts:
         counts[q] += 1
@@ -98,8 +101,7 @@ def dominance_leq(p1: Partition, p2: Partition) -> bool:
     This is the closure order on nilpotent orbits of GL_N.  Both partitions
     must have the same sum.
     """
-    a = p1.parts if isinstance(p1, Partition) else tuple(sorted(p1, reverse=True))
-    b = p2.parts if isinstance(p2, Partition) else tuple(sorted(p2, reverse=True))
+    a, b = as_parts(p1), as_parts(p2)
     if sum(a) != sum(b):
         raise ValueError(f"dominance compares partitions of equal sum: {sum(a)} != {sum(b)}")
     sa = sb = 0

@@ -8,8 +8,9 @@ block by block), and the two classification routes to the
 GK-dimension, wavefront set and character are compared as exact equalities.
 Floats appear only in CSV rendering columns.
 
-Sweeps split the partition stream into chunks processed independently (worker
-processes when ``threads > 1``); summaries merge as a commutative monoid, so
+Every sweep chunks its cases and maps a worker over the chunks through one
+driver, ``_sweep`` (a ``concurrent.futures`` process pool when ``threads >
+1``); a failed chunk raises ``SweepError``.  Summaries merge as a monoid, so
 results are independent of the chunking.  The figure's workers render their
 chunks' CSV rows from integers, grouped by GK-dimension; the parent writes
 the groups in increasing GK-dimension, chunk by chunk, which is the sorted
@@ -28,13 +29,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
 from .decay import _max_ratio_blocks, decay_t, decay_t_arthur
-from .partitions import (
-    Partition,
-    dual_partition,
-    orbit_dim,
-    partition_count,
-    partition_tuples,
-)
+from .partitions import Partition, as_parts, dual_partition, orbit_dim, partition_tuples
 from .rationals import InputError, check_positive_int, ratio_decimal
 from .segments import SupercuspidalLabel
 
@@ -100,9 +95,9 @@ class SweepSummary:
         )
 
 
-def _fold(N: Optional[int], worker, jobs: list, threads: int) -> SweepSummary:
-    """Merge the summaries the worker returns for each job into one."""
-    return reduce(SweepSummary.merge, _map_chunks(worker, jobs, threads), SweepSummary(N=N))
+class SweepError(RuntimeError):
+    """A sweep chunk failed: its worker raised, or the worker pool broke (a
+    worker died, or its result could not be unpickled)."""
 
 
 def report_for_rep(pi: UnitaryRep) -> InvariantReport:
@@ -126,10 +121,9 @@ def report_for_rep(pi: UnitaryRep) -> InvariantReport:
 def arthur_rep_from_partition(a: Partition | Iterable[int]) -> UnitaryRep:
     """The untwisted representation over dimension-1 labels whose Arthur-SL2
     is the given partition: one summand rho_i[1][d_i] per part."""
-    parts = a.parts if isinstance(a, Partition) else tuple(sorted(a, reverse=True))
     return UnitaryRep(
         ArthurSummand(SupercuspidalLabel(f"rho{i}", 1), 1, d)
-        for i, d in enumerate(parts, start=1)
+        for i, d in enumerate(as_parts(a), start=1)
     )
 
 
@@ -141,28 +135,39 @@ def report_for_arthur_partition(a: Partition | Iterable[int]) -> InvariantReport
 # chunked execution
 
 
-def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
-    if threads > 1 and len(jobs) > 1:
-        import multiprocessing  # here: only a pool needs it, and it adds ~10 ms to every start
-        with multiprocessing.get_context().Pool(min(threads, len(jobs))) as pool:
-            yield from pool.imap(worker, jobs)
-    else:
-        for job in jobs:
-            yield worker(job)
-
-
-def _chunked(seq: Iterable, size: int) -> Iterator[list]:
-    it = iter(seq)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
-
-
-def _chunk_size(total: int, threads: int, floor: int = 2000) -> int:
+def _chunk_size(total: int, threads: int, floor: int) -> int:
     per = math.ceil(total / max(1, 4 * threads))
     return max(floor, per)
+
+
+def _sweep(worker, key, cases: Sequence, threads: int, floor: int) -> Iterator:
+    """``worker((key, chunk))``, in order, for ``cases`` (a list, or a range
+    of case indices) cut into chunks of at least ``floor``, ~4 per thread."""
+    size = _chunk_size(len(cases), threads, floor)
+    jobs = [(key, cases[start : start + size]) for start in range(0, len(cases), size)]
+    return _map_chunks(worker, jobs, threads)
+
+
+def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
+    """``worker(job)`` for each job in order, in a process pool when there are
+    several threads and jobs; a failure raises SweepError naming the job."""
+    pool = None
+    if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: only a pool needs it
+        pool = ProcessPoolExecutor(min(threads, len(jobs)))
+    done = 0
+    try:
+        for result in map(worker, jobs) if pool is None else pool.map(worker, jobs):
+            yield result
+            done += 1
+    except Exception as exc:
+        key = jobs[done][0]
+        where = repr(key) if isinstance(key, ConsistencyBudget) else f"N={key}"
+        raise SweepError(f"sweep chunk {done + 1} of {len(jobs)} ({where}) failed: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # the jobs not yet started
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +270,8 @@ def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
     the closed form and cross-checked against the full scan on every case.
     N must lie in 2..MAX_SWEEP_N."""
     check_sweep_n(N, "sweep")
-    size = _chunk_size(partition_count(N), threads)
-    jobs = [(N, chunk) for chunk in _chunked(partition_tuples(N), size)]
-    return _fold(N, _arthur_chunk, jobs, threads)
+    chunks = _sweep(_arthur_chunk, N, list(partition_tuples(N)), threads, 2000)
+    return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +373,8 @@ def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
     2..MAX_SWEEP_N.
     """
     check_sweep_n(N, "figure")
-    size = _chunk_size(partition_count(N), threads)
-    jobs = [(N, chunk) for chunk in _chunked(partition_tuples(N), size)]
-    texts, spans, counts, violations = zip(*_map_chunks(_figure_chunk, jobs, threads))
+    chunks = _sweep(_figure_chunk, N, list(partition_tuples(N)), threads, 2000)
+    texts, spans, counts, violations = zip(*chunks)
     out.write(FIGURE_CSV_HEADER + "\n")
     for d_gk in sorted(set().union(*spans)):
         for text, span in zip(texts, spans):
@@ -489,8 +492,8 @@ def verify_uncertainty_unitary(
         if not 0 < y < Fraction(1, 2):
             raise InputError("twist_grid", f"values must lie strictly in (0, 1/2), got {y}")
     cases = list(_unitary_cases(N, grid, max_summands))
-    jobs = [(N, chunk) for chunk in _chunked(cases, _chunk_size(len(cases), threads, 200))]
-    return _fold(N, _unitary_chunk, jobs, threads)
+    chunks = _sweep(_unitary_chunk, N, cases, threads, 200)
+    return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +516,11 @@ class ConsistencyBudget:
             check_positive_int(getattr(self, name), name)
         if self.max_total_dim is not None:
             check_positive_int(self.max_total_dim, "max_total_dim")
+
+    def admits(self, specs) -> bool:
+        """Whether a case, given by its summand specs, keeps to ``max_total_dim``."""
+        cap = self.max_total_dim
+        return cap is None or sum(dim * a * d for _, dim, a, d, _, _ in specs) <= cap
 
 
 def _consistency_shapes(budget: ConsistencyBudget) -> list[tuple[int, int, int]]:
@@ -568,20 +576,18 @@ def _consistency_failure(pi: UnitaryRep, notes: list[str]) -> InvariantReport:
 
 
 def _consistency_exhaustive_chunk(job) -> SweepSummary:
-    """Check the slice [start, stop) of the summand multisets within the budget."""
-    budget, start, stop = job
+    """Check the summand multisets within the budget at the range ``indices``."""
+    budget, indices = job
     shapes = _consistency_shapes(budget)
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(len(shapes)), k)
         for k in range(1, budget.max_summands + 1)
     )
     cases = []
-    for combo in itertools.islice(combos, start, stop):
+    for combo in itertools.islice(combos, indices.start, indices.stop):
         specs = [(g,) + shapes[i] + (0, 1) for g, i in enumerate(combo, start=1)]
-        if budget.max_total_dim is not None:
-            if sum(dim * a * d for _, dim, a, d, _, _ in specs) > budget.max_total_dim:
-                continue
-        cases.append(specs)
+        if budget.admits(specs):
+            cases.append(specs)
     return _consistency_random_chunk((budget.max_total_dim, cases))
 
 
@@ -625,10 +631,8 @@ def _random_case_specs(
             else:
                 specs.append((group, dim, a, d, 0, 1))
                 slots -= 1
-        if budget.max_total_dim is not None:
-            if sum(dim * a * d for _, dim, a, d, _, _ in specs) > budget.max_total_dim:
-                continue
-        cases.append(specs)
+        if budget.admits(specs):
+            cases.append(specs)
     return cases
 
 
@@ -648,17 +652,10 @@ def verify_consistency(
     """
     if random_cases < 0:
         raise InputError("random_cases", "must be a non-negative integer")
-    shapes = _consistency_shapes(budget)
-    total = sum(
-        math.comb(len(shapes) + k - 1, k) for k in range(1, budget.max_summands + 1)
-    )
-    size = _chunk_size(total, threads)
-    jobs: list = []
-    for start in range(0, total, size):
-        jobs.append((budget, start, min(start + size, total)))
-
-    summary = _fold(budget.max_total_dim, _consistency_exhaustive_chunk, jobs, threads)
+    shapes = len(_consistency_shapes(budget))
+    total = sum(math.comb(shapes + k - 1, k) for k in range(1, budget.max_summands + 1))
+    n = budget.max_total_dim
+    exhaustive = _sweep(_consistency_exhaustive_chunk, budget, range(total), threads, 2000)
     cases = _random_case_specs(budget, random_cases, seed)
-    size = _chunk_size(len(cases), threads, 500)
-    rjobs = [(budget.max_total_dim, chunk) for chunk in _chunked(cases, size)]
-    return summary.merge(_fold(budget.max_total_dim, _consistency_random_chunk, rjobs, threads))
+    sampled = _sweep(_consistency_random_chunk, n, cases, threads, 500)
+    return reduce(SweepSummary.merge, itertools.chain(exhaustive, sampled), SweepSummary(N=n))

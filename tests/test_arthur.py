@@ -62,8 +62,8 @@ def test_pairing_enforced_by_default():
         UnitaryRep([twisted])
     paired = UnitaryRep([twisted, ArthurSummand(R1, 1, 2, Fraction(-1, 4))])
     assert paired.N == 4 and not paired.is_arthur_type
-    # unchecked constructor admits arbitrary augmented data
-    assert UnitaryRep.unchecked([twisted]).N == 2
+    # without the pairing check the constructor admits arbitrary augmented data
+    assert UnitaryRep([twisted], _check_pairing=False).N == 2
 
 
 def test_langlands_expansion_examples():

@@ -360,6 +360,23 @@ def test_partitions_cli_json(capsys):
     assert rows[0] == [4] and rows[-1] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "--N", "4", "--format", "json"],
+        ["invariants", "--input", "rep.json", "--threads", "2"],
+        ["dual", "--input", "rep.json", "--format", "csv"],
+        ["dual", "--input", "rep.json", "--threads", "2"],
+        ["partitions", "--N", "4", "--threads", "2"],
+    ],
+)
+def test_a_flag_the_command_ignores_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_threads_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GLN_INVARIANTS_THREADS", "1")
     assert main(["verify-arthur", "--N", "6"]) == 0
@@ -443,6 +460,73 @@ def test_failure_in_a_worker_exits_3_with_its_rows():
         assert sum(line.startswith("FAIL {") for line in lines) == 2435
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+# Runs the CLI with one fault forced into the Arthur sweep's workers: the
+# full-scan cross-check raises, or every chunk's summary carries a failure
+# report whose note cannot be unpickled.
+WORKER_FAULT = textwrap.dedent(
+    """
+    import dataclasses, multiprocessing, sys
+    multiprocessing.set_start_method("fork")
+    from gln_invariants import verify
+    from gln_invariants.cli import main
+
+    def refuse():
+        raise RuntimeError("cannot be unpickled")
+
+    class Unloadable(str):
+        def __reduce__(self):
+            return refuse, ()
+
+    def raising_scan(parts, n):
+        raise ERRORS[sys.argv[1]]("injected")
+
+    def unloadable_chunk(job):
+        summary = arthur_chunk(job)
+        report = verify.report_for_arthur_partition(job[1][0])
+        summary.failures.append(dataclasses.replace(report, note=Unloadable("injected")))
+        return summary
+
+    ERRORS = {"ValueError": ValueError, "RuntimeError": RuntimeError}
+    arthur_chunk = verify._arthur_chunk
+    if sys.argv[1] in ERRORS:
+        verify._scan_two_xi = raising_scan
+    else:
+        verify._arthur_chunk = unloadable_chunk
+    sys.exit(main(sys.argv[2:]))
+    """
+)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("fault", ["ValueError", "RuntimeError", "unpickle"])
+def test_worker_fault_exits_5_naming_the_chunk(fault, threads):
+    # p(26) = 2436 partitions make two chunks, so --threads 2 uses a pool; a
+    # pool that hangs on a result it cannot unpickle fails on the timeout
+    path = [os.path.dirname(os.path.dirname(gln_invariants.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run(
+        [sys.executable, "-c", WORKER_FAULT, fault, "verify-arthur", "--N", "26",
+         "--threads", threads],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "Traceback" not in run.stderr
+    if fault == "unpickle" and threads == "1":
+        # inline chunks are never pickled: the injected reports are failures
+        assert run.returncode == 3, run.stderr
+        assert run.stdout.startswith("checked 2436 partitions, 2 failures\n")
+        return
+    error = "BrokenProcessPool" if fault == "unpickle" else f"{fault}: injected"
+    assert run.returncode == 5, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: sweep chunk 1 of 2 (N=26) failed: " + error)
+    assert len(run.stderr.splitlines()) == 1
 
 
 def test_long_part_beside_many_unit_parts_finishes_quickly(tmp_path):

@@ -79,7 +79,7 @@ def twisted_reps(draw):
                 Fraction(num, den),
             )
         )
-    return UnitaryRep.unchecked(summands)
+    return UnitaryRep(summands, _check_pairing=False)
 
 
 @settings(max_examples=300)

@@ -1,5 +1,6 @@
 import pytest
 
+from gln_invariants.decay import decay_t_arthur
 from gln_invariants.partitions import (
     Partition,
     dominance_leq,
@@ -9,6 +10,7 @@ from gln_invariants.partitions import (
     partition_tuples,
 )
 from gln_invariants.rationals import InputError
+from gln_invariants.verify import arthur_rep_from_partition
 
 
 def dual_oracle(parts):
@@ -119,6 +121,26 @@ def test_dual_reverses_dominance():
             for p2 in ps:
                 if dominance_leq(p1, p2):
                     assert dominance_leq(duals[p2], duals[p1])
+
+
+@pytest.mark.parametrize(
+    "fn, args, field",
+    [
+        (decay_t_arthur, ([3, -1],), "parts[1]"),
+        (dual_partition, ([2, 0],), "parts[1]"),
+        (dual_partition, ([-1],), "parts[0]"),
+        (dual_partition, ([2.5, 1],), "parts[0]"),
+        (orbit_dim, ([1, 0],), "parts[1]"),
+        (dominance_leq, ([3, -1], Partition([2])), "parts[1]"),
+        (dominance_leq, (Partition([2]), [True, 1]), "parts[0]"),
+        (arthur_rep_from_partition, ([2, "1"],), "parts[1]"),
+    ],
+)
+def test_raw_parts_are_checked_like_a_partition(fn, args, field):
+    # an iterable of parts passes the checks of Partition, not only a sort
+    with pytest.raises(InputError) as exc:
+        fn(*args)
+    assert exc.value.field == field
 
 
 def test_refinement_examples():

@@ -203,6 +203,25 @@ def test_consistency_thread_determinism():
     assert seq.ok and par.ok
 
 
+def test_consistency_over_several_chunks_is_thread_independent(monkeypatch):
+    # 24 shapes give 2,924 summand multisets of up to 3 summands: two
+    # exhaustive chunks at 1 and 2 threads, and 600 random cases two more
+    jobs = []
+    real = verify._map_chunks
+
+    def counting(worker, chunk_jobs, threads):
+        jobs.append(len(chunk_jobs))
+        return real(worker, chunk_jobs, threads)
+
+    monkeypatch.setattr(verify, "_map_chunks", counting)
+    budget = ConsistencyBudget(max_summands=3, max_dim=2, max_a=3, max_d=4, max_total_dim=20)
+    seq = verify_consistency(budget, random_cases=600, seed=5, threads=1)
+    par = verify_consistency(budget, random_cases=600, seed=5, threads=2)
+    assert jobs == [2, 2, 2, 2]
+    assert (seq.count, seq.failures, seq.N) == (par.count, par.failures, par.N)
+    assert seq.N == 20 and 600 < seq.count < 2924 + 600
+
+
 def test_consistency_reports_a_gk_dimension_off_the_wavefront(monkeypatch):
     # the third GK route, half the wavefront orbit's dimension, is checked
     # on every case: an orbit dimension off by 2 fails each one
@@ -318,7 +337,7 @@ def test_figure_csv_matches_row_oracle(monkeypatch, threads, chunk):
     # from many buckets; by default N <= 25 fits one chunk and N = 26..30
     # take two or three
     if chunk is not None:
-        monkeypatch.setattr(verify, "_chunk_size", lambda total, threads: chunk)
+        monkeypatch.setattr(verify, "_chunk_size", lambda total, threads, floor: chunk)
     for n in range(2, 31):
         text, count, violations = figure_csv_oracle(n)
         buf = io.StringIO()
