@@ -45,8 +45,8 @@ def speh_exponent(k: int, n_rho: int, variant: str = "absolute") -> BoundExponen
     relative: k(k-1) * n(n-1)/2 without slack, relative to the k-th power of
     the supercuspidal's own fixed-vector dimension.
     """
-    if k < 1 or n_rho < 1:
-        raise ValueError("k and n_rho must be positive integers")
+    check_positive_int(k, "k")
+    check_positive_int(n_rho, "n_rho")
     base = Fraction(n_rho * (n_rho - 1), 2)
     if variant == "absolute":
         return BoundExponent(
@@ -162,8 +162,7 @@ def p0_exponents(
     and s = 2/N otherwise; when an orbit is supplied, half its dimension is
     subtracted (the coefficient variant).  p0 = None means p0 = infinity.
     """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    check_positive_int(N, "N")
     if p0 is None:
         two_over_p0 = Fraction(0)
     else:

@@ -87,19 +87,22 @@ def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
 # rendering
 
 
-def _rat_json(x: Fraction) -> dict:
+def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
+    if x is None:
+        return None
     return {"num": x.numerator, "den": x.denominator, "decimal": rat_decimal(x)}
 
 
 def _report_json(report: InvariantReport) -> dict:
-    p = None if report.t == 1 else 2 / (1 - report.t)
+    """The report as JSON, without its character."""
+    t = report.t
     return {
         "arthur_sl2": list(report.arthur_sl2),
         "wavefront": list(report.wavefront),
         "d_gk": _rat_json(report.d_gk),
         "g": _rat_json(report.g),
-        "t": _rat_json(report.t),
-        "p": "infinite" if p is None else _rat_json(p),
+        "t": _rat_json(t),
+        "p": None if t is None else "infinite" if t == 1 else _rat_json(2 / (1 - t)),
         "maximizers": sorted(report.maximizers),
         "lower_ok": report.lower_ok,
         "upper_ok": report.upper_ok,
@@ -108,18 +111,12 @@ def _report_json(report: InvariantReport) -> dict:
 
 
 def _unitary_invariants(pi: UnitaryRep) -> dict:
-    n = pi.N
-    if n >= 2:
-        report = _report_json(report_for_rep(pi))
-    else:
-        a_sl2 = pi.arthur_sl2()
-        report = {"arthur_sl2": list(a_sl2), "wavefront": list(a_sl2.dual()),
-                  "d_gk": _rat_json(pi.gk_dim()), "g": None, "t": None, "p": None,
-                  "maximizers": [], "lower_ok": None, "upper_ok": None}
-    out = {"type": "unitarizable", "N": n, "arthur_type": pi.is_arthur_type}
-    out.update((key, report.pop(key)) for key in ("arthur_sl2", "wavefront", "d_gk"))
-    out["character"] = [rat_str(v) for v in pi.character()]
-    out.update(report)
+    report = report_for_rep(pi)
+    data = _report_json(report)
+    out = {"type": "unitarizable", "N": pi.N, "arthur_type": pi.is_arthur_type}
+    out.update((key, data.pop(key)) for key in ("arthur_sl2", "wavefront", "d_gk"))
+    out["character"] = [rat_str(v) for v in report.character]
+    out.update(data)
     return out
 
 
@@ -190,12 +187,8 @@ def _summary_json(summary: SweepSummary) -> dict:
         "N": summary.N,
         "count": summary.count,
         "failures": [_report_json(r) for r in summary.failures],
-        "min_gap_lower": None
-        if summary.min_gap_lower is None
-        else _rat_json(summary.min_gap_lower),
-        "min_gap_upper": None
-        if summary.min_gap_upper is None
-        else _rat_json(summary.min_gap_upper),
+        "min_gap_lower": _rat_json(summary.min_gap_lower),
+        "min_gap_upper": _rat_json(summary.min_gap_upper),
     }
 
 

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .partitions import Partition, as_parts
-from .rationals import check_positive_int
 
 
 def expand_blocks(blocks: Iterable[tuple]) -> list:
@@ -44,10 +43,9 @@ class CharacterList:
     """Multiset of rational twist exponents in integer-scaled run-length form:
     ``unit`` is the lcm of the value denominators and ``blocks`` holds one
     ``(value * unit, multiplicity)`` pair per distinct value, values
-    decreasing.  Built from the values or from a mapping value -> multiplicity,
-    where a multiplicity of 0 drops the value and any other multiplicity must
-    be a positive integer, so every block has a positive multiplicity;
-    iteration and ``values`` give the values non-increasing, as ``Fraction``s.
+    decreasing.  Built from the values, so every block has a positive
+    multiplicity; iteration and ``values`` give the values non-increasing, as
+    ``Fraction``s.
 
     The characters produced by the classification of the unitary dual are
     symmetric under negation; arbitrary multisets are accepted so the decay
@@ -57,16 +55,8 @@ class CharacterList:
     unit: int
     blocks: tuple[tuple[int, int], ...]
 
-    def __init__(self, values: Iterable[Fraction | int] | Mapping[Fraction | int, int]):
-        if isinstance(values, Mapping):
-            counts = {}
-            for value, mult in values.items():
-                if type(mult) is int and mult == 0:
-                    continue
-                check_positive_int(mult, f"multiplicity of {value}")
-                counts[Fraction(value)] = mult
-        else:
-            counts = {Fraction(value): mult for value, mult in Counter(values).items()}
+    def __init__(self, values: Iterable[Fraction | int]):
+        counts = {Fraction(value): mult for value, mult in Counter(values).items()}
         unit = math.lcm(*(v.denominator for v in counts))
         blocks = sorted(
             ((v.numerator * (unit // v.denominator), mult) for v, mult in counts.items()),

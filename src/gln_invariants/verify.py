@@ -11,10 +11,12 @@ Floats appear only in CSV rendering columns.
 Every sweep chunks its cases and maps a worker over the chunks through one
 driver, ``_sweep`` (a ``concurrent.futures`` process pool when ``threads >
 1``); a failed chunk raises ``SweepError``.  Summaries merge as a monoid, so
-results are independent of the chunking.  The figure's workers render their
-chunks' CSV rows from integers, grouped by GK-dimension; the parent writes
-the groups in increasing GK-dimension, chunk by chunk, which is the sorted
-row order without a comparison sort of the rows.
+results are independent of the chunking.  Each failure row is the
+``report_for_rep`` of its representation, the report ``glninv invariants``
+prints, with a note naming the failed checks.  The figure's workers render
+their chunks' CSV rows from integers, grouped by GK-dimension; the parent
+writes the groups in increasing GK-dimension, chunk by chunk, which is the
+sorted row order without a comparison sort of the rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
-from .decay import _max_ratio_blocks, decay_t, decay_t_arthur
+from .decay import CharacterList, _max_ratio_blocks, decay_t, decay_t_arthur
 from .partitions import Partition, as_parts, dual_partition, orbit_dim, partition_tuples
 from .rationals import InputError, check_positive_int, ratio_decimal
 from .segments import SupercuspidalLabel
@@ -48,15 +50,17 @@ FIGURE_CSV_HEADER = (
 
 @dataclass(frozen=True, slots=True)
 class InvariantReport:
-    """Bundled invariants of one representation (or one Arthur-SL2 partition)."""
+    """Bundled invariants of one representation (or one Arthur-SL2 partition).
+    At N = 1, where g and t are undefined, g, t and both verdicts are None."""
 
     arthur_sl2: Partition
     wavefront: Partition
     d_gk: Fraction
-    g: Fraction
-    t: Fraction
-    lower_ok: bool
-    upper_ok: bool
+    character: CharacterList
+    g: Optional[Fraction]
+    t: Optional[Fraction]
+    lower_ok: Optional[bool]
+    upper_ok: Optional[bool]
     maximizers: frozenset[int]
     note: str = ""
 
@@ -101,20 +105,27 @@ class SweepError(RuntimeError):
 
 
 def report_for_rep(pi: UnitaryRep) -> InvariantReport:
-    """Invariants plus uncertainty-bound verdicts for one representation."""
+    """Invariants plus uncertainty-bound verdicts for one representation of
+    any dimension N; at N = 1 there are no bounds to check."""
     a_sl2 = pi.arthur_sl2()
-    g = pi.non_genericity()
-    result = decay_t(pi.character())
-    t = result.t
+    xi = pi.character()
+    g = t = lower_ok = upper_ok = None
+    maximizers = frozenset()
+    if pi.N >= 2:
+        g = pi.non_genericity()
+        result = decay_t(xi)
+        t, maximizers = result.t, result.maximizers
+        lower_ok, upper_ok = g <= t, t * t <= g
     return InvariantReport(
         arthur_sl2=a_sl2,
         wavefront=dual_partition(a_sl2),
         d_gk=pi.gk_dim(),
+        character=xi,
         g=g,
         t=t,
-        lower_ok=g <= t,
-        upper_ok=t * t <= g,
-        maximizers=result.maximizers,
+        lower_ok=lower_ok,
+        upper_ok=upper_ok,
+        maximizers=maximizers,
     )
 
 
@@ -560,19 +571,7 @@ def _check_consistency_rep(pi: UnitaryRep) -> list[str]:
 
 
 def _consistency_failure(pi: UnitaryRep, notes: list[str]) -> InvariantReport:
-    a_sl2 = pi.arthur_sl2()
-    report = InvariantReport(
-        arthur_sl2=a_sl2,
-        wavefront=dual_partition(a_sl2),
-        d_gk=pi.gk_dim(),
-        g=pi.non_genericity() if pi.N >= 2 else Fraction(0),
-        t=decay_t(pi.character()).t if pi.N >= 2 else Fraction(0),
-        lower_ok=True,
-        upper_ok=True,
-        maximizers=frozenset(),
-        note="; ".join(notes),
-    )
-    return report
+    return replace(report_for_rep(pi), note="; ".join(notes))
 
 
 def _consistency_exhaustive_chunk(job) -> SweepSummary:
@@ -588,19 +587,19 @@ def _consistency_exhaustive_chunk(job) -> SweepSummary:
         specs = [(g,) + shapes[i] + (0, 1) for g, i in enumerate(combo, start=1)]
         if budget.admits(specs):
             cases.append(specs)
-    return _consistency_random_chunk((budget.max_total_dim, cases))
+    return _consistency_random_chunk((budget, cases))
 
 
 def _consistency_random_chunk(job) -> SweepSummary:
     """Check each case, given by its summand specs, by both routes."""
-    n, cases = job
+    budget, cases = job
     failures = []
     for specs in cases:
         pi = _rep_from_specs(specs)
         notes = _check_consistency_rep(pi)
         if notes:
             failures.append(_consistency_failure(pi, notes))
-    return SweepSummary(N=n, count=len(cases), failures=failures)
+    return SweepSummary(N=budget.max_total_dim, count=len(cases), failures=failures)
 
 
 def _random_case_specs(
@@ -657,5 +656,5 @@ def verify_consistency(
     n = budget.max_total_dim
     exhaustive = _sweep(_consistency_exhaustive_chunk, budget, range(total), threads, 2000)
     cases = _random_case_specs(budget, random_cases, seed)
-    sampled = _sweep(_consistency_random_chunk, n, cases, threads, 500)
+    sampled = _sweep(_consistency_random_chunk, budget, cases, threads, 500)
     return reduce(SweepSummary.merge, itertools.chain(exhaustive, sampled), SweepSummary(N=n))

@@ -69,6 +69,30 @@ def test_speh_exponent_examples():
         speh_exponent(0, 3)
 
 
+@pytest.mark.parametrize(
+    "func, args, field",
+    [
+        (speh_exponent, (1.5, 2), "k"),
+        (speh_exponent, (True, 3), "k"),
+        (speh_exponent, (0, 3), "k"),
+        (speh_exponent, (2, 2.0), "n_rho"),
+        (speh_exponent, (2, False, "relative"), "n_rho"),
+        (p0_exponents, (2.5, None), "N"),
+        (p0_exponents, (True, Fraction(4)), "N"),
+        (p0_exponents, (0, None), "N"),
+    ],
+    ids=lambda v: (
+        v.__name__ if callable(v) else ",".join(map(str, v)) if isinstance(v, tuple) else v
+    ),
+)
+def test_exponent_sizes_must_be_positive_ints(func, args, field):
+    # a float or a boolean would otherwise reach the arithmetic:
+    # speh_exponent(1.5, 2).coeff was 2.25 and p0_exponents(2.5, None).coeff 0
+    with pytest.raises(InputError) as exc:
+        func(*args)
+    assert exc.value.field == field
+
+
 def test_speh_absolute_minus_relative_identity():
     for k in range(1, 11):
         for n in range(1, 11):

@@ -126,6 +126,18 @@ def test_invariants_output_bytes_are_pinned(tmp_path, capsys, name):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha, fmt
 
 
+def test_invariants_builds_the_character_once(tmp_path, monkeypatch):
+    # the rendered character is the one the report's decay scan read
+    calls = []
+    real = UnitaryRep.character
+    monkeypatch.setattr(UnitaryRep, "character", lambda self: calls.append(self) or real(self))
+    for name in ("speh", "n1_unitary"):
+        path = write(tmp_path, f"{name}.json", GOLDEN[name][0])
+        assert main(["invariants", "--input", path]) == 0
+        assert len(calls) == 1, name
+        calls.clear()
+
+
 def test_dual_swaps_labels(tmp_path, capsys):
     path = write(tmp_path, "speh.json", SPEH)
     assert main(["dual", "--input", path]) == 0
@@ -393,6 +405,7 @@ def test_violation_exit_code_path(capsys):
     from fractions import Fraction
 
     from gln_invariants.cli import EXIT_VIOLATION, _emit_summary
+    from gln_invariants.decay import CharacterList
     from gln_invariants.partitions import Partition
     from gln_invariants.verify import InvariantReport, SweepSummary
 
@@ -404,6 +417,7 @@ def test_violation_exit_code_path(capsys):
                 arthur_sl2=Partition([2, 2]),
                 wavefront=Partition([2, 2]),
                 d_gk=Fraction(4),
+                character=CharacterList([Fraction(1, 2)] * 2 + [Fraction(-1, 2)] * 2),
                 g=Fraction(1, 3),
                 t=Fraction(1, 2),
                 lower_ok=False,

@@ -7,6 +7,7 @@ are built as scaled integers.  The oracles below are the ``Fraction``
 computations those integer paths replaced; every property compares the two.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -43,22 +44,19 @@ def langlands_oracle(pi):
 def unitary_character_oracle(pi):
     """For each summand the string x + (d-1)/2, ..., x + (1-d)/2, each entry
     with multiplicity rho.dim * a."""
-    counts = {}
+    counts = Counter()
     for s in pi.summands:
-        mult = s.rho.dim * s.a
         for k in range(s.d - 1, -s.d, -2):
-            value = s.x + Fraction(k, 2)
-            counts[value] = counts.get(value, 0) + mult
-    return CharacterList(counts)
+            counts[s.x + Fraction(k, 2)] += s.rho.dim * s.a
+    return CharacterList(counts.elements())
 
 
 def multisegment_character_oracle(m):
     """Each segment's midpoint with multiplicity rho.dim * length."""
-    counts = {}
+    counts = Counter()
     for s in m.segments:
-        mid = (s.a + s.b) / 2
-        counts[mid] = counts.get(mid, 0) + s.ambient_dim
-    return CharacterList(counts)
+        counts[(s.a + s.b) / 2] += s.ambient_dim
+    return CharacterList(counts.elements())
 
 
 @st.composite
@@ -114,7 +112,7 @@ def test_integer_and_public_constructors_agree():
     assert whole.length == 4 and whole.midpoint == Fraction(-1, 2)
 
     values = {Fraction(1, 3): 2, Fraction(-1, 6): 1, Fraction(0): 3}
-    public = CharacterList(values)
+    public = CharacterList(Counter(values).elements())
     for unit in (6, 12, 60):
         built = CharacterList._from_scaled(unit, {int(v * unit): m for v, m in values.items()})
         assert built == public and hash(built) == hash(public)

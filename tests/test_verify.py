@@ -224,14 +224,67 @@ def test_consistency_over_several_chunks_is_thread_independent(monkeypatch):
 
 def test_consistency_reports_a_gk_dimension_off_the_wavefront(monkeypatch):
     # the third GK route, half the wavefront orbit's dimension, is checked
-    # on every case: an orbit dimension off by 2 fails each one
+    # on every case: an orbit dimension off by 2 fails each one.  Each row is
+    # the invariants report of its representation plus the note: null g, t,
+    # p and verdicts at N = 1, the real maximizers and verdicts at N >= 2
+    from gln_invariants.cli import _report_json
+
     real = verify.orbit_dim
     monkeypatch.setattr(verify, "orbit_dim", lambda p: real(p) + 2)
     budget = ConsistencyBudget(max_summands=1, max_dim=1, max_a=2, max_d=2)
     summary = verify_consistency(budget, random_cases=3, seed=1)
     assert summary.count == 4 + 3 and len(summary.failures) == summary.count
-    for report in summary.failures:
-        assert report.note == "GK-dimension differs from half the wavefront orbit dimension"
+    note = "GK-dimension differs from half the wavefront orbit dimension"
+    specs = [[(1, 1, a, d, 0, 1)] for a in (1, 2) for d in (1, 2)]
+    specs += verify._random_case_specs(budget, 3, seed=1)
+    reps = [verify._rep_from_specs(case) for case in specs]
+    assert summary.failures == [dataclasses.replace(report_for_rep(pi), note=note) for pi in reps]
+    rows = [_report_json(report) for report in summary.failures[:4]]
+    assert rows[0] == {"arthur_sl2": [1], "wavefront": [1],
+                       "d_gk": {"num": 0, "den": 1, "decimal": "0.000000000000"},
+                       "g": None, "t": None, "p": None, "maximizers": [],
+                       "lower_ok": None, "upper_ok": None, "note": note}
+    speh = rows[1]  # [1][2] on GL_2: character (1/2, -1/2)
+    assert (speh["arthur_sl2"], speh["maximizers"], speh["p"]) == ([2], [1], "infinite")
+    assert (rows[2]["g"]["num"], rows[2]["t"]["num"]) == (0, 0)  # generic [2][1]
+    assert rows[3]["maximizers"] == [2]  # [2][2] on GL_4: (1/2, 1/2, -1/2, -1/2)
+    assert all(row["lower_ok"] is row["upper_ok"] is True for row in rows[1:])
+
+
+def test_unitary_sweep_reports_a_closed_form_off_the_scan(monkeypatch):
+    # every Arthur-type case cross-checks the closed form against the scan;
+    # a wrong closed form fails each one, and each row is the invariants
+    # report of its representation plus the note
+    real = verify.decay_t_arthur
+    monkeypatch.setattr(verify, "decay_t_arthur", lambda a: real(a) + 1)
+    grid = [Fraction(1, 4)]
+    summary = verify_uncertainty_unitary(4, grid, threads=1)
+    reps = [verify._rep_from_groups(case) for case in verify._unitary_cases(4, grid, 3)]
+    arthur = [pi for pi in reps if pi.is_arthur_type]
+    assert summary.count == len(reps) > len(arthur) > 0
+    note = "closed-form t differs from prefix-sum scan"
+    assert summary.failures == [dataclasses.replace(report_for_rep(pi), note=note) for pi in arthur]
+
+
+def test_failed_random_consistency_chunk_names_its_budget(monkeypatch):
+    # the one exhaustive case passes; the random pass's chunk then fails
+    calls = []
+    real = verify._check_consistency_rep
+
+    def faulty(pi):
+        calls.append(pi)
+        if len(calls) > 1:
+            raise ValueError("injected")
+        return real(pi)
+
+    monkeypatch.setattr(verify, "_check_consistency_rep", faulty)
+    budget = ConsistencyBudget(max_summands=1, max_dim=1, max_a=1, max_d=1)
+    with pytest.raises(verify.SweepError) as exc:
+        verify_consistency(budget, random_cases=2, threads=1)
+    assert str(exc.value) == (
+        f"sweep chunk 1 of 1 ({budget!r}) failed: ValueError: injected"
+    )
+    assert "N=None" not in str(exc.value) and len(calls) == 2
 
 
 def test_figure_counts_rows_violating_a_bound(monkeypatch, capsys):
