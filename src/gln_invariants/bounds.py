@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .decay import shifted_decay
 from .partitions import Partition, orbit_dim
-from .rationals import InputError, check_positive_int, json_fields, json_list
+from .rationals import InputError, check_positive_int
 from .segments import Multisegment
 
 
@@ -125,13 +126,6 @@ class GenArthurParam:
     def N(self) -> int:
         return sum(n * d for n, d in self.summands)
 
-    def to_json(self) -> dict:
-        return {"summands": [{"n": n, "d": d} for n, d in self.summands]}
-
-    @classmethod
-    def from_json(cls, data) -> "GenArthurParam":
-        return cls(tuple(json_list(data, "summands", lambda s: tuple(json_fields(s, "n", "d")))))
-
 
 def genbound_exponent(param: GenArthurParam) -> BoundExponent:
     """Exponent relative to the generic factors: d_GK of the induced
@@ -158,22 +152,19 @@ def p0_exponents(
 ) -> BoundExponent:
     """Exponent in terms of a lower bound p0 on the integrability exponent.
 
-    coeff = N(N-1) (1 - max(0, 1 - 2/p0 - s)^2), with s = 0 for Arthur type
-    and s = 2/N otherwise; when an orbit is supplied, half its dimension is
-    subtracted (the coefficient variant).  p0 = None means p0 = infinity.
+    coeff = N(N-1) (1 - b^2), with b = ``decay.shifted_decay`` of 1 - 2/p0:
+    max(0, 1 - 2/p0 - s), s = 0 for Arthur type and s = 2/N otherwise.  When
+    an orbit is supplied, half its dimension is subtracted (the coefficient
+    variant).  p0 = None means p0 = infinity.
     """
     check_positive_int(N, "N")
-    if p0 is None:
-        two_over_p0 = Fraction(0)
-    else:
+    t = Fraction(1)
+    if p0 is not None:
         p0 = Fraction(p0)
         if p0 < 2:
             raise ValueError(f"p0 must be >= 2, got {p0}")
-        two_over_p0 = 2 / p0
-    shift = Fraction(0) if arthur_type else Fraction(2, N)
-    base = 1 - two_over_p0 - shift
-    if base < 0:
-        base = Fraction(0)
+        t -= 2 / p0
+    base = shifted_decay(t, N, arthur_type)
     coeff = N * (N - 1) * (1 - base * base)
     if orbit is not None:
         if orbit.n != N:

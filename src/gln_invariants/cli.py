@@ -23,7 +23,7 @@ from .arthur import UnitaryRep
 from .bounds import fixed_vector_exponent, hch_coefficient_exponent, relative_exponents
 from .decay import decay_t
 from .partitions import partition_tuples
-from .rationals import InputError, parse_rat, rat_decimal, rat_str
+from .rationals import InputError, check_positive_int, parse_rat, rat_decimal, rat_str
 from .segments import Multisegment
 from .verify import (
     ConsistencyBudget,
@@ -318,7 +318,7 @@ def _cmd_verify_consistency(args) -> int:
 
 def _cmd_figure(args) -> int:
     threads = _resolve_threads(args)
-    check_sweep_n(args.N, "figure")  # before --out is truncated
+    check_sweep_n(args.N)  # before --out is truncated
     with _output(args) as out:
         count, violations = write_figure_csv(args.N, out, threads=threads)
     if args.out:
@@ -330,6 +330,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
+    check_positive_int(args.N, "N")  # before --out is truncated
     with _output(args) as out:
         for parts in partition_tuples(args.N):
             if args.format == "json":

@@ -109,15 +109,7 @@ class DecayResult:
     """
 
     t: Fraction
-    p_is_infinite: bool
     maximizers: frozenset[int]
-
-    @property
-    def p(self) -> Fraction | None:
-        """The integrability exponent 2/(1-t), or None when infinite."""
-        if self.p_is_infinite:
-            return None
-        return 2 / (1 - self.t)
 
 
 def prefix_sums(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
@@ -220,22 +212,44 @@ def decay_t(xi: CharacterList | Sequence[Fraction | int]) -> DecayResult:
         raise ValueError("decay requires a character of length >= 2")
     num, den, maxima = _max_ratio_scan(expand_blocks(xi.blocks), xi.unit)
     t = Fraction(num, den)
-    return DecayResult(t=t, p_is_infinite=(t == 1), maximizers=frozenset(maxima))
+    return DecayResult(t=t, maximizers=frozenset(maxima))
+
+
+def _partition_stats(parts: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
+    """Integer invariants of the Arthur-type representation whose Arthur-SL2
+    is ``parts`` (a partition of n, parts non-increasing): s = sum of d(d-1),
+    so g = s/(n(n-1)); the sum of d^2, so d_GK = (n^2 - sum)/2; and the
+    closed-form t as an unreduced (numerator, denominator):
+    t = (d_1 - 1)/(n - a_1), with d_1 the largest part and a_1 its
+    multiplicity, and t = 0 when d_1 = 1."""
+    sq = 0
+    for d in parts:
+        sq += d * d
+    d1 = parts[0]
+    if d1 == 1:
+        return sq - n, sq, 0, 1
+    return sq - n, sq, d1 - 1, n - parts.count(d1)
 
 
 def decay_t_arthur(a: Partition | Iterable[int]) -> Fraction:
-    """Closed form for Arthur-type data: t = (d1 - 1)/(N - a1) where d1 is the
-    largest part and a1 its multiplicity; t = 0 when d1 = 1 and t = 1 when the
-    partition is [N]."""
+    """The closed form of ``_partition_stats`` for Arthur-type data: t = 0
+    when every part is 1 and t = 1 when the partition is [N]."""
     parts = as_parts(a)
     n = sum(parts)
     if n < 2:
         raise ValueError("decay requires N >= 2")
-    d1 = parts[0]
-    if d1 == 1:
-        return Fraction(0)
-    a1 = sum(1 for p in parts if p == d1)
-    return Fraction(d1 - 1, n - a1)
+    _, _, tn, td = _partition_stats(parts, n)
+    return Fraction(tn, td)
+
+
+def shifted_decay(t: Fraction, n: int, arthur_type: bool) -> Fraction:
+    """max(0, t - s), with s = 0 for Arthur type and s = 2/n otherwise: the
+    uncertainty bound on GL_n is shifted_decay(t)^2 <= g, that is
+    t <= sqrt(g) for Arthur type and t <= sqrt(g) + 2/n for the other
+    unitarizable representations."""
+    if not arthur_type:
+        t -= Fraction(2, n)
+    return t if t > 0 else Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,9 +59,7 @@ class Segment:
     The endpoints are stored as integers over one unit: a = lo/unit and
     b = hi/unit, with ``unit`` the reduced denominator of a (and so of b),
     which makes the stored form canonical.  ``a``, ``b`` and ``midpoint``
-    are built as ``Fraction``s when read.  An optional ``twist`` is folded
-    into the endpoints on construction, so the stored label is always read
-    as unitary.
+    are built as ``Fraction``s when read.
     """
 
     rho: SupercuspidalLabel
@@ -69,10 +67,9 @@ class Segment:
     lo: int
     hi: int
 
-    def __init__(self, rho: SupercuspidalLabel, a, b, twist=0):
-        t = Fraction(twist)
-        a = Fraction(a) + t
-        b = Fraction(b) + t
+    def __init__(self, rho: SupercuspidalLabel, a, b):
+        a = Fraction(a)
+        b = Fraction(b)
         span = b - a
         if span.denominator != 1 or span < 0:
             raise InputError("b", f"b - a must be a non-negative integer, got {rat_str(span)}")

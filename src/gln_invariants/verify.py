@@ -1,12 +1,13 @@
 """Exhaustive verification sweeps and figure-dataset generation.
 
-Every check here is an exact statement about rationals or partitions: the
-uncertainty inequalities g <= t and t^2 <= g are tested by integer
-cross-multiplication, the closed-form decay parameter is compared against the
-full prefix-sum scan on every case (an exact maximum over every cut, taken
-block by block), and the two classification routes to the
-GK-dimension, wavefront set and character are compared as exact equalities.
-Floats appear only in CSV rendering columns.
+Every check here is an exact statement about rationals or partitions: g <= t
+and the upper bound of ``decay.shifted_decay`` (t^2 <= g for Arthur type,
+(t - 2/N)_+^2 <= g otherwise) are tested by ``report_for_rep``, and by integer
+cross-multiplication on the all-Arthur partition sweeps; the closed-form decay
+parameter is compared against the full prefix-sum scan on every Arthur-type
+case, and the two classification routes to the GK-dimension, wavefront set
+and character are compared as exact equalities.  Floats appear only in CSV
+rendering columns.
 
 Every sweep chunks its cases and maps a worker over the chunks through one
 driver, ``_sweep`` (a ``concurrent.futures`` process pool when ``threads >
@@ -30,7 +31,9 @@ from functools import reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
-from .decay import CharacterList, _max_ratio_blocks, decay_t, decay_t_arthur
+from .decay import (
+    CharacterList, _max_ratio_blocks, _partition_stats, decay_t, decay_t_arthur, shifted_decay
+)
 from .partitions import Partition, as_parts, dual_partition, orbit_dim, partition_tuples
 from .rationals import InputError, check_positive_int, ratio_decimal
 from .segments import SupercuspidalLabel
@@ -69,8 +72,9 @@ class InvariantReport:
 class SweepSummary:
     """Outcome of a verification sweep; empty ``failures`` means the checked
     statements held on every case.  ``min_gap_lower`` is the least value of
-    t - g and ``min_gap_upper`` the least slack in the upper bound actually
-    checked (g - t^2 for Arthur sweeps)."""
+    t - g and ``min_gap_upper`` the least slack g - shifted_decay(t)^2 in
+    the upper bound of each case's class: g - t^2 for Arthur type and
+    g - (t - 2/N)_+^2 otherwise."""
 
     N: Optional[int]
     count: int = 0
@@ -106,7 +110,9 @@ class SweepError(RuntimeError):
 
 def report_for_rep(pi: UnitaryRep) -> InvariantReport:
     """Invariants plus uncertainty-bound verdicts for one representation of
-    any dimension N; at N = 1 there are no bounds to check."""
+    any dimension N: ``lower_ok`` is g <= t and ``upper_ok`` the bound of its
+    class, shifted_decay(t)^2 <= g, which is t <= sqrt(g) for Arthur type and
+    t <= sqrt(g) + 2/N otherwise.  At N = 1 there are no bounds to check."""
     a_sl2 = pi.arthur_sl2()
     xi = pi.character()
     g = t = lower_ok = upper_ok = None
@@ -115,7 +121,8 @@ def report_for_rep(pi: UnitaryRep) -> InvariantReport:
         g = pi.non_genericity()
         result = decay_t(xi)
         t, maximizers = result.t, result.maximizers
-        lower_ok, upper_ok = g <= t, t * t <= g
+        shifted = shifted_decay(t, pi.N, pi.is_arthur_type)
+        lower_ok, upper_ok = g <= t, shifted * shifted <= g
     return InvariantReport(
         arthur_sl2=a_sl2,
         wavefront=dual_partition(a_sl2),
@@ -199,36 +206,22 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     e = [0] * (d1 + 2)
     for d in a_parts:
         e[d] += 1
-    for k in range(d1 - 1, 0, -1):
+    for k in reversed(range(1, d1)):
         e[k] += e[k + 2]
     top = [(k - 1, e[k]) for k in range(d1, 1, -1) if e[k]]
     middle = [(0, e[1])] if e[1] else []
     return _max_ratio_blocks(top + middle + [(-v, mult) for v, mult in reversed(top)], 2)
 
 
-def check_sweep_n(N: int, sweep: str) -> None:
-    """Reject an N outside 2..MAX_SWEEP_N for ``sweep`` (named in the
-    message), before any partition is enumerated."""
+def check_sweep_n(N: int, capped: bool = True) -> None:
+    """Reject an N below 2 and, for a sweep that holds every partition of N
+    (``capped``), above MAX_SWEEP_N, before any case is enumerated."""
     if N < 2:
-        raise ValueError(f"{sweep} requires N >= 2")
-    if N > MAX_SWEEP_N:
+        raise InputError("N", "must be at least 2")
+    if capped and N > MAX_SWEEP_N:
         raise InputError(
             "N", f"must be at most {MAX_SWEEP_N}, as every partition of N is held in memory"
         )
-
-
-def _partition_stats(parts: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
-    """Integer invariants of the Arthur-type representation whose Arthur-SL2
-    is ``parts`` (a partition of n): s = sum of d(d-1), so g = s/(n(n-1));
-    the sum of d^2, so d_GK = (n^2 - sum)/2; and the closed-form t as an
-    unreduced (numerator, denominator)."""
-    sq = 0
-    for d in parts:
-        sq += d * d
-    d1 = parts[0]
-    if d1 == 1:
-        return sq - n, sq, 0, 1
-    return sq - n, sq, d1 - 1, n - parts.count(d1)
 
 
 def _arthur_chunk(job) -> SweepSummary:
@@ -280,7 +273,7 @@ def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
     """Check g <= t and t^2 <= g for every partition of N, with t computed by
     the closed form and cross-checked against the full scan on every case.
     N must lie in 2..MAX_SWEEP_N."""
-    check_sweep_n(N, "sweep")
+    check_sweep_n(N)
     chunks = _sweep(_arthur_chunk, N, list(partition_tuples(N)), threads, 2000)
     return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
 
@@ -363,7 +356,7 @@ def figure_rows(N: int) -> list[FigureRow]:
     """One row per partition of N, sorted by GK-dimension and then by the
     canonical enumeration order.  All fields exact; the verdicts compare
     ``Fraction``s.  N must lie in 2..MAX_SWEEP_N."""
-    check_sweep_n(N, "figure")
+    check_sweep_n(N)
     rows = []
     for parts in partition_tuples(N):
         s, sq, tn, td = _partition_stats(parts, N)
@@ -383,7 +376,7 @@ def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
     output is byte-identical across runs and thread counts.  N must lie in
     2..MAX_SWEEP_N.
     """
-    check_sweep_n(N, "figure")
+    check_sweep_n(N)
     chunks = _sweep(_figure_chunk, N, list(partition_tuples(N)), threads, 2000)
     texts, spans, counts, violations = zip(*chunks)
     out.write(FIGURE_CSV_HEADER + "\n")
@@ -451,32 +444,29 @@ def _rep_from_groups(case: Sequence[tuple[int, int, Fraction]]) -> UnitaryRep:
 
 
 def _unitary_chunk(job) -> SweepSummary:
+    """Judge each case by its ``report_for_rep``; Arthur-type cases also
+    cross-check the closed-form t against the report's scan."""
     n, chunk = job
-    two_over_n = Fraction(2, n)
     failures = []
     min_low = None
     min_up = None
     for case in chunk:
         pi = _rep_from_groups(case)
-        g = pi.non_genericity()
-        t = decay_t(pi.character()).t
+        report = report_for_rep(pi)
+        g, t, arthur_type = report.g, report.t, pi.is_arthur_type
         notes = []
-        if pi.is_arthur_type and t != decay_t_arthur(pi.arthur_sl2()):
+        if arthur_type and t != decay_t_arthur(report.arthur_sl2):
             notes.append("closed-form t differs from prefix-sum scan")
-        lower_ok = g <= t
-        shifted = t - two_over_n
-        if shifted < 0:
-            shifted = Fraction(0)
-        upper_ok = shifted * shifted <= g
-        if notes or not lower_ok or not upper_ok:
-            report = report_for_rep(pi)
+        if notes or not (report.lower_ok and report.upper_ok):
+            upper = "t^2 <= g" if arthur_type else "(t - 2/N)^2 <= g"
             failures.append(
-                _failure_report(report, notes, lower_ok, upper_ok, "(t - 2/N)^2 <= g")
+                _failure_report(report, notes, report.lower_ok, report.upper_ok, upper)
             )
             continue
         low = t - g
         if min_low is None or low < min_low:
             min_low = low
+        shifted = shifted_decay(t, n, arthur_type)
         up = g - shifted * shifted
         if min_up is None or up < min_up:
             min_up = up
@@ -491,12 +481,14 @@ def verify_uncertainty_unitary(
     max_summands: int = 3,
     threads: int = 1,
 ) -> SweepSummary:
-    """Check g <= t and t <= sqrt(g) + 2/N (exactly, as (t - 2/N)^2 <= g when
-    t > 2/N) over all unitarizable shapes of total dimension N built from
-    untwisted summands and +/- twisted pairs over dimension-1 labels, with at
-    most ``max_summands`` summand groups and twists drawn from the grid."""
-    if N < 2:
-        raise ValueError("sweep requires N >= 2")
+    """Check each case's ``report_for_rep`` verdicts, g <= t and the upper
+    bound of its class: t <= sqrt(g) (exactly, t^2 <= g) for Arthur type and
+    t <= sqrt(g) + 2/N (exactly, (t - 2/N)^2 <= g when t > 2/N) for the
+    twisted cases.  The cases are all unitarizable shapes of total dimension
+    N built from untwisted summands and +/- twisted pairs over dimension-1
+    labels, with at most ``max_summands`` summand groups and twists drawn
+    from the grid; the Arthur-type ones also cross-check the closed-form t."""
+    check_sweep_n(N, capped=False)
     check_positive_int(max_summands, "max_summands")
     grid = [Fraction(y) for y in twist_grid]
     for y in grid:

@@ -52,6 +52,21 @@ def test_invariants_unitary(tmp_path, capsys):
     assert data["lower_ok"] and data["upper_ok"]
 
 
+@pytest.mark.parametrize("x", ["1/4", "-1/4"])
+def test_invariants_complementary_series_meets_its_bound(tmp_path, capsys, x):
+    # the GL_2 complementary series |.|^x r + |.|^-x r: g = 0 and t = 1/2, so
+    # t > sqrt(g), within the bound of a non-Arthur input, t <= sqrt(g) + 2/N
+    other = x[1:] if x.startswith("-") else "-" + x
+    rep = {"summands": [{"rho": {"id": "r", "dim": 1}, "a": 1, "d": 1, "x": y}
+                        for y in (x, other)]}
+    path = write(tmp_path, "cs.json", rep)
+    assert main(["invariants", "--input", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["arthur_type"] is False
+    assert (data["g"]["num"], data["t"]["num"], data["t"]["den"]) == (0, 1, 2)
+    assert data["lower_ok"] is True and data["upper_ok"] is True
+
+
 def test_invariants_multisegment(tmp_path, capsys):
     path = write(tmp_path, "m.json", MSEG)
     assert main(["invariants", "--input", path]) == 0
@@ -335,6 +350,25 @@ def test_sweep_n_above_the_cap_rejected(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: N: must be at most {MAX_SWEEP_N}, ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-arthur", "--N", "1", "--threads", "1"],
+        ["verify-unitary", "--N", "1", "--threads", "1"],
+        ["figure", "--N", "1", "--threads", "1"],
+        ["partitions", "--N", "0"],
+    ],
+)
+def test_n_below_its_floor_is_exit_2_naming_n(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: N: ")
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("n", [1, MAX_SWEEP_N + 1])

@@ -15,12 +15,19 @@ from gln_invariants.decay import (
     maximizer_certificate,
     prefix_sums,
 )
+from gln_invariants.cli import _report_json
 from gln_invariants.partitions import Partition, partition_tuples
-from gln_invariants.verify import arthur_rep_from_partition
+from gln_invariants.verify import arthur_rep_from_partition, report_for_arthur_partition
 
 from conftest import unitary_reps
 
 H = Fraction(1, 2)
+
+
+def rendered_p(parts):
+    """p = 2/(1 - t) as ``glninv invariants`` renders it for the Arthur-type
+    representation with Arthur-SL2 ``parts``: the one place p is derived."""
+    return _report_json(report_for_arthur_partition(parts))["p"]
 
 
 def test_prefix_sums_examples():
@@ -142,14 +149,14 @@ def test_max_ratio_blocks_decreasing_block_example():
 
 
 def test_decay_t_examples():
-    tempered = decay_t([0] * 6)
-    assert tempered.t == 0 and not tempered.p_is_infinite
-    assert tempered.p == 2
+    tempered = decay_t([0] * 6)  # the character of Arthur-SL2 [1^6]
+    assert tempered.t == 0
+    assert rendered_p([1] * 6) == {"num": 2, "den": 1, "decimal": "2.000000000000"}
 
     half = decay_t([H, H, -H, -H])  # ratios 1/3, 1/2, 1/3
     assert half.t == H
     assert half.maximizers == {2}
-    assert half.p == 4
+    assert rendered_p([2, 2]) == {"num": 4, "den": 1, "decimal": "4.000000000000"}
 
     # N = 2: the single ratio is 2*sigma_1 / (1*(2-1))
     assert decay_t([Fraction(1, 4), -Fraction(1, 4)]).t == H
@@ -161,9 +168,9 @@ def test_decay_t_examples():
 
 def test_decay_t_infinite_case():
     n = 5
-    full = decay_t([Fraction(n - 1 - 2 * i, 2) for i in range(n)])
-    assert full.t == 1 and full.p_is_infinite
-    assert full.p is None
+    full = decay_t([Fraction(n - 1 - 2 * i, 2) for i in range(n)])  # Arthur-SL2 [5]
+    assert full.t == 1
+    assert rendered_p([n]) == "infinite"
 
 
 def test_decay_t_arthur_examples():

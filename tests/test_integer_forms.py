@@ -107,7 +107,7 @@ def test_integer_and_public_constructors_agree():
         built = Segment._from_ints(R, lo, hi, unit)
         assert built == public and hash(built) == hash(public)
         assert (built.unit, built.lo, built.hi) == (2, 1, 3)
-    whole = Segment(R, -2, 1, twist=0)
+    whole = Segment(R, -2, 1)
     assert Segment._from_ints(R, -4, 2, 2) == whole and whole.unit == 1
     assert whole.length == 4 and whole.midpoint == Fraction(-1, 2)
 

@@ -26,8 +26,10 @@ def seg(a, b, rho=R1):
 def test_segment_validation_and_twist_folding():
     s = Segment(R1, 0, 2)
     assert s.length == 3 and s.ambient_dim == 3
-    t = Segment(R1, 0, 2, twist=Fraction(1, 2))
+    twist = Fraction(1, 2)  # |.|^x <a,b> is <a + x, b + x>
+    t = Segment(R1, 0 + twist, 2 + twist)
     assert (t.a, t.b) == (Fraction(1, 2), Fraction(5, 2))
+    assert (t.unit, t.lo, t.hi, t.length) == (2, 1, 5, 3)
     with pytest.raises(ValueError):
         Segment(R1, 0, Fraction(1, 2))  # b - a not an integer
     with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ def test_value_types_survive_pickling():
     values = [
         Partition([2, 1]),
         seg,
-        Multisegment([seg, Segment(rho, 0, 0, twist=Fraction(1, 3))]),
+        Multisegment([seg, Segment(rho, Fraction(1, 3), Fraction(1, 3))]),
         pi,
         CharacterList([Fraction(1, 2), 0, 0, Fraction(-1, 2)]),
         # built by the trusted integer constructors
@@ -156,6 +156,39 @@ def test_unitary_sweep_small_grid():
         summary = verify_uncertainty_unitary(n, grid, max_summands=3)
         assert summary.ok
         assert summary.count > 0
+
+
+def test_report_holds_each_case_to_the_bound_of_its_class():
+    # oracle: t <= sqrt(g) for Arthur type and t <= sqrt(g) + 2/N otherwise,
+    # squared as (t - s)^2 <= g when t > s
+    grid = [Fraction(k, 10) for k in (1, 2, 3, 4)]
+    above_sqrt_g = 0
+    for n in range(2, 9):
+        for case in verify._unitary_cases(n, grid, 3):
+            pi = verify._rep_from_groups(case)
+            report = report_for_rep(pi)
+            g, t = report.g, report.t
+            s = 0 if pi.is_arthur_type else Fraction(2, n)
+            assert report.upper_ok == (t <= s or (t - s) ** 2 <= g), case
+            if not pi.is_arthur_type and t * t > g:
+                above_sqrt_g += 1
+    # on these the Arthur-type bound t^2 <= g fails: the shift is needed
+    assert above_sqrt_g > 0
+
+
+def test_unitary_sweep_verdict_is_its_report(monkeypatch):
+    # a wrong upper bound in report_for_rep fails every case of the sweep,
+    # and each failure row is the report that gave the verdict
+    monkeypatch.setattr(verify, "shifted_decay", lambda t, n, arthur_type: t + 1)
+    grid = [Fraction(1, 4)]
+    summary = verify_uncertainty_unitary(4, grid, threads=1)
+    reps = [verify._rep_from_groups(case) for case in verify._unitary_cases(4, grid, 3)]
+    assert summary.count == len(summary.failures) == len(reps)
+    assert summary.min_gap_upper is None
+    for pi, row in zip(reps, summary.failures):
+        assert row.lower_ok is True and row.upper_ok is False
+        bound = "t^2 <= g" if pi.is_arthur_type else "(t - 2/N)^2 <= g"
+        assert row == dataclasses.replace(report_for_rep(pi), note=f"upper bound {bound} failed")
 
 
 def test_consistency_small_budget():
