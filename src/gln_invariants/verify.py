@@ -18,6 +18,11 @@ prints, with a note naming the failed checks.  The figure's workers render
 their chunks' CSV rows from integers, grouped by GK-dimension; the parent
 writes the groups in increasing GK-dimension, chunk by chunk, which is the
 sorted row order without a comparison sort of the rows.
+
+A unitarizable or consistency case is a tuple of shared summand groups: group
+i (from 1) is one ``(dim, a, d, x_num, x_den)`` summand over the label rho{i},
+or a +/- twisted pair, and ``_rep_from_case`` builds it (or a partition).  A
+sweep of more than ``MAX_SWEEP_CASES`` cases is rejected before any is built.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -44,7 +50,12 @@ MAX_SWEEP_N = 60
 p(60) = 966,467 tuples (``figure --N 60`` peaks near 330 MB on one thread,
 its rendered rows included, and near 330 MB in the parent plus 270 MB in each
 worker on two), where p(100) = 190,569,292 would need about 200 times as
-much.  The partition stream itself (``partition_tuples``) is not capped."""
+much.  The partition stream itself (``partition_tuples``) is not capped.
+For these sweeps it is the case cap: p(60) <= MAX_SWEEP_CASES < p(61)."""
+
+MAX_SWEEP_CASES = 1_000_000
+"""Most cases a sweep checks: its cases are all held in memory, and
+``verify-unitary --N 60 --max-summands 6`` would ask for 1,629,922,443."""
 
 FIGURE_CSV_HEADER = (
     "partition,d_gk,g_num,g_den,t_num,t_den,g_float,t_float,sqrt_g_float,lower_ok,upper_ok"
@@ -88,11 +99,7 @@ class SweepSummary:
 
     def merge(self, other: "SweepSummary") -> "SweepSummary":
         def _min(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return min(a, b)
+            return min((x for x in (a, b) if x is not None), default=None)
 
         return SweepSummary(
             N=self.N if self.N == other.N else None,
@@ -136,13 +143,27 @@ def report_for_rep(pi: UnitaryRep) -> InvariantReport:
     )
 
 
+def _rep_from_case(case) -> UnitaryRep:
+    return UnitaryRep(
+        ArthurSummand(SupercuspidalLabel(f"rho{i}", dim), a, d, Fraction(xn, xd))
+        for i, group in enumerate(case, start=1)
+        for dim, a, d, xn, xd in group
+    )
+
+
+def _case_dim(case) -> int:
+    return sum(dim * a * d for group in case for dim, a, d, _, _ in group)
+
+
+def _check_case_count(count: int, field: str) -> None:
+    if count > MAX_SWEEP_CASES:
+        raise InputError(field, f"the sweep would check more than {MAX_SWEEP_CASES} cases")
+
+
 def arthur_rep_from_partition(a: Partition | Iterable[int]) -> UnitaryRep:
     """The untwisted representation over dimension-1 labels whose Arthur-SL2
     is the given partition: one summand rho_i[1][d_i] per part."""
-    return UnitaryRep(
-        ArthurSummand(SupercuspidalLabel(f"rho{i}", 1), 1, d)
-        for i, d in enumerate(as_parts(a), start=1)
-    )
+    return _rep_from_case(tuple(((1, 1, d, 0, 1),) for d in as_parts(a)))
 
 
 def report_for_arthur_partition(a: Partition | Iterable[int]) -> InvariantReport:
@@ -392,66 +413,63 @@ def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
 # unitarizable uncertainty sweep
 
 
-def _unitary_groups(
-    N: int, twist_grid: Sequence[Fraction]
-) -> list[tuple[int, int, Fraction]]:
+def _unitary_groups(N: int, twist_grid: Sequence[Fraction]) -> list[tuple]:
+    twists = [(y.numerator, y.denominator) for y in twist_grid]
     groups = []
     for a in range(1, N + 1):
         for d in range(1, N // a + 1):
-            groups.append((a, d, Fraction(0)))
+            groups.append(((1, a, d, 0, 1),))
             if 2 * a * d <= N:
-                for y in twist_grid:
-                    groups.append((a, d, y))
+                for yn, yd in twists:
+                    groups.append(((1, a, d, yn, yd), (1, a, d, -yn, yd)))
     return groups
 
 
-def _group_weight(group: tuple[int, int, Fraction]) -> int:
-    a, d, y = group
-    return a * d if y == 0 else 2 * a * d
-
-
-def _unitary_cases(
-    N: int, twist_grid: Sequence[Fraction], max_summands: int
-) -> Iterator[tuple[tuple[int, int, Fraction], ...]]:
+def _unitary_cases(N: int, twist_grid: Sequence[Fraction], max_summands: int) -> Iterator[tuple]:
     groups = _unitary_groups(N, twist_grid)
+    weights = [_case_dim((group,)) for group in groups]
 
     def rec(start: int, remaining: int, used: int, acc: list):
         if remaining == 0:
             yield tuple(acc)
-            return
-        if used == max_summands:
-            return
-        for k in range(start, len(groups)):
-            w = _group_weight(groups[k])
-            if w <= remaining:
-                acc.append(groups[k])
-                yield from rec(k, remaining - w, used + 1, acc)
-                acc.pop()
+        elif used < max_summands:
+            for k in range(start, len(groups)):
+                if weights[k] <= remaining:
+                    acc.append(groups[k])
+                    yield from rec(k, remaining - weights[k], used + 1, acc)
+                    acc.pop()
 
     yield from rec(0, N, 0, [])
 
 
-def _rep_from_groups(case: Sequence[tuple[int, int, Fraction]]) -> UnitaryRep:
-    summands = []
-    for i, (a, d, y) in enumerate(case, start=1):
-        rho = SupercuspidalLabel(f"rho{i}", 1)
-        if y == 0:
-            summands.append(ArthurSummand(rho, a, d))
-        else:
-            summands.append(ArthurSummand(rho, a, d, y))
-            summands.append(ArthurSummand(rho, a, d, -y))
-    return UnitaryRep(summands)
+def _unitary_case_count(N: int, twist_grid: Sequence[Fraction], max_summands: int) -> int:
+    """How many cases ``_unitary_cases`` yields, or a number above
+    MAX_SWEEP_CASES once past it.  Counted by weights, largest first (a
+    weight taken j times from its m groups gives C(m + j - 1, j) multisets);
+    every weight up to N has a group, so each weight profile visited is a case."""
+    ways = Counter(_case_dim((group,)) for group in _unitary_groups(N, twist_grid))
+
+    def count(rest: int, k: int, top: int) -> int:  # <= k groups, each of weight <= top
+        if rest == 0 or k == 0:
+            return int(rest == 0)
+        total = 0
+        for w in range(min(top, rest), -(-rest // k) - 1, -1):  # the largest w has k * w >= rest
+            for j in range(1, min(k, rest // w) + 1):
+                total += math.comb(ways[w] + j - 1, j) * count(rest - j * w, k - j, w - 1)
+                if total > MAX_SWEEP_CASES:
+                    return total
+        return total
+
+    return count(N, min(max_summands, N), N)
 
 
 def _unitary_chunk(job) -> SweepSummary:
     """Judge each case by its ``report_for_rep``; Arthur-type cases also
     cross-check the closed-form t against the report's scan."""
     n, chunk = job
-    failures = []
-    min_low = None
-    min_up = None
+    failures, lows, ups = [], [], []
     for case in chunk:
-        pi = _rep_from_groups(case)
+        pi = _rep_from_case(case)
         report = report_for_rep(pi)
         g, t, arthur_type = report.g, report.t, pi.is_arthur_type
         notes = []
@@ -463,15 +481,12 @@ def _unitary_chunk(job) -> SweepSummary:
                 _failure_report(report, notes, report.lower_ok, report.upper_ok, upper)
             )
             continue
-        low = t - g
-        if min_low is None or low < min_low:
-            min_low = low
         shifted = shifted_decay(t, n, arthur_type)
-        up = g - shifted * shifted
-        if min_up is None or up < min_up:
-            min_up = up
+        lows.append(t - g)
+        ups.append(g - shifted * shifted)
     return SweepSummary(
-        N=n, count=len(chunk), failures=failures, min_gap_lower=min_low, min_gap_upper=min_up
+        N=n, count=len(chunk), failures=failures,
+        min_gap_lower=min(lows, default=None), min_gap_upper=min(ups, default=None),
     )
 
 
@@ -487,13 +502,15 @@ def verify_uncertainty_unitary(
     twisted cases.  The cases are all unitarizable shapes of total dimension
     N built from untwisted summands and +/- twisted pairs over dimension-1
     labels, with at most ``max_summands`` summand groups and twists drawn
-    from the grid; the Arthur-type ones also cross-check the closed-form t."""
+    from the grid; the Arthur-type ones also cross-check the closed-form t.
+    A budget of more than MAX_SWEEP_CASES cases is rejected."""
     check_sweep_n(N, capped=False)
     check_positive_int(max_summands, "max_summands")
     grid = [Fraction(y) for y in twist_grid]
     for y in grid:
         if not 0 < y < Fraction(1, 2):
             raise InputError("twist_grid", f"values must lie strictly in (0, 1/2), got {y}")
+    _check_case_count(_unitary_case_count(N, grid, max_summands), "max_summands")
     cases = list(_unitary_cases(N, grid, max_summands))
     chunks = _sweep(_unitary_chunk, N, cases, threads, 200)
     return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
@@ -520,30 +537,14 @@ class ConsistencyBudget:
         if self.max_total_dim is not None:
             check_positive_int(self.max_total_dim, "max_total_dim")
 
-    def admits(self, specs) -> bool:
-        """Whether a case, given by its summand specs, keeps to ``max_total_dim``."""
-        cap = self.max_total_dim
-        return cap is None or sum(dim * a * d for _, dim, a, d, _, _ in specs) <= cap
+    def admits(self, case) -> bool:
+        """Whether a case keeps to ``max_total_dim``."""
+        return self.max_total_dim is None or _case_dim(case) <= self.max_total_dim
 
 
-def _consistency_shapes(budget: ConsistencyBudget) -> list[tuple[int, int, int]]:
-    return [
-        (dim, a, d)
-        for dim in range(1, budget.max_dim + 1)
-        for a in range(1, budget.max_a + 1)
-        for d in range(1, budget.max_d + 1)
-    ]
-
-
-def _rep_from_specs(specs: Sequence[tuple[int, int, int, int, int, int]]) -> UnitaryRep:
-    # specs: (label_group, dim, a, d, x_num, x_den); +/- twisted pairs share a
-    # label group so they sit on the same cuspidal line
-    summands = []
-    for group, dim, a, d, xn, xd in specs:
-        summands.append(
-            ArthurSummand(SupercuspidalLabel(f"rho{group}", dim), a, d, Fraction(xn, xd))
-        )
-    return UnitaryRep(summands)
+def _consistency_shapes(budget: ConsistencyBudget) -> list[tuple]:
+    ranges = (range(1, n + 1) for n in (budget.max_dim, budget.max_a, budget.max_d))
+    return [((dim, a, d, 0, 1),) for dim, a, d in itertools.product(*ranges)]
 
 
 def _check_consistency_rep(pi: UnitaryRep) -> list[str]:
@@ -571,59 +572,49 @@ def _consistency_exhaustive_chunk(job) -> SweepSummary:
     budget, indices = job
     shapes = _consistency_shapes(budget)
     combos = itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(len(shapes)), k)
+        itertools.combinations_with_replacement(shapes, k)
         for k in range(1, budget.max_summands + 1)
     )
-    cases = []
-    for combo in itertools.islice(combos, indices.start, indices.stop):
-        specs = [(g,) + shapes[i] + (0, 1) for g, i in enumerate(combo, start=1)]
-        if budget.admits(specs):
-            cases.append(specs)
+    cases = list(filter(budget.admits, itertools.islice(combos, indices.start, indices.stop)))
     return _consistency_random_chunk((budget, cases))
 
 
 def _consistency_random_chunk(job) -> SweepSummary:
-    """Check each case, given by its summand specs, by both routes."""
+    """Check each case of the list by both routes."""
     budget, cases = job
     failures = []
-    for specs in cases:
-        pi = _rep_from_specs(specs)
+    for case in cases:
+        pi = _rep_from_case(case)
         notes = _check_consistency_rep(pi)
         if notes:
             failures.append(_consistency_failure(pi, notes))
     return SweepSummary(N=budget.max_total_dim, count=len(cases), failures=failures)
 
 
-def _random_case_specs(
-    budget: ConsistencyBudget, random_cases: int, seed: int
-) -> list[list[tuple[int, int, int, int, int, int]]]:
+def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int) -> list[tuple]:
     rng = random.Random(seed)
     cases = []
-    attempts = 0
-    while len(cases) < random_cases:
-        attempts += 1
-        if attempts > 2000 * max(1, random_cases):
-            raise ValueError(
-                "the total-dimension cap leaves too few admissible random cases"
-            )
+    for _ in range(2000 * max(1, random_cases)):
+        if len(cases) == random_cases:
+            break
         slots = rng.randint(1, budget.max_summands)
-        specs: list[tuple[int, int, int, int, int, int]] = []
-        group = 0
+        groups = []
         while slots > 0:
-            group += 1
             dim = rng.randint(1, budget.max_dim)
             a = rng.randint(1, budget.max_a)
             d = rng.randint(1, budget.max_d)
             if slots >= 2 and rng.random() < 0.5:
                 num = rng.randint(1, 9)
-                specs.append((group, dim, a, d, num, 20))
-                specs.append((group, dim, a, d, -num, 20))
+                groups.append(((dim, a, d, num, 20), (dim, a, d, -num, 20)))
                 slots -= 2
             else:
-                specs.append((group, dim, a, d, 0, 1))
+                groups.append(((dim, a, d, 0, 1),))
                 slots -= 1
-        if budget.admits(specs):
-            cases.append(specs)
+        case = tuple(groups)
+        if budget.admits(case):
+            cases.append(case)
+    if len(cases) < random_cases:
+        raise InputError("N", "the total-dimension cap leaves too few admissible random cases")
     return cases
 
 
@@ -639,14 +630,22 @@ def verify_consistency(
 
     Runs exhaustively over all summand multisets within the budget (twists
     zero), then over ``random_cases`` sampled cases that also include +/-
-    twisted pairs.
+    twisted pairs.  A budget of more than MAX_SWEEP_CASES cases in all is
+    rejected, naming ``max_summands`` when the exhaustive part alone exceeds it.
     """
     if random_cases < 0:
         raise InputError("random_cases", "must be a non-negative integer")
-    shapes = len(_consistency_shapes(budget))
-    total = sum(math.comb(shapes + k - 1, k) for k in range(1, budget.max_summands + 1))
+    shapes = budget.max_dim * budget.max_a * budget.max_d
+    total, term = 0, 1  # the multisets of 1..max_summands shapes, up to the cap
+    for k in range(1, budget.max_summands + 1):
+        term = term * (shapes + k - 1) // k  # C(shapes + k - 1, k)
+        total += term
+        if total > MAX_SWEEP_CASES:
+            break
+    _check_case_count(total, "max_summands")
+    _check_case_count(total + random_cases, "random_cases")
     n = budget.max_total_dim
     exhaustive = _sweep(_consistency_exhaustive_chunk, budget, range(total), threads, 2000)
-    cases = _random_case_specs(budget, random_cases, seed)
+    cases = _random_cases(budget, random_cases, seed)
     sampled = _sweep(_consistency_random_chunk, budget, cases, threads, 500)
     return reduce(SweepSummary.merge, itertools.chain(exhaustive, sampled), SweepSummary(N=n))

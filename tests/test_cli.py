@@ -13,7 +13,7 @@ from gln_invariants.cli import MAX_INPUT_N, main, parse_rep
 from gln_invariants.arthur import UnitaryRep
 from gln_invariants.partitions import partition_count
 from gln_invariants.segments import Multisegment
-from gln_invariants.verify import MAX_SWEEP_N
+from gln_invariants.verify import MAX_SWEEP_CASES, MAX_SWEEP_N
 
 SPEH = {"summands": [{"rho": {"id": "rho", "dim": 1}, "a": 1, "d": 4, "x": "0"}]}
 MSEG = {
@@ -378,6 +378,74 @@ def test_rejected_figure_leaves_out_file_intact(tmp_path, capsys, n):
     assert main(["figure", "--N", str(n), "--out", str(out), "--threads", "1"]) == 2
     assert out.read_text(encoding="utf-8") == "kept\n"
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # 1,629,922,443 unitarizable cases
+        (["verify-unitary", "--N", "60", "--max-summands", "6"], "max_summands"),
+        # 11,969,016,344 multisets of up to 8 of the 64 summand shapes
+        (["verify-consistency", "--N", "10", "--max-summands", "8", "--max-dim", "4",
+          "--random-cases", "0"], "max_summands"),
+        # the default 270,724 exhaustive cases leave room for 729,276 random ones
+        (["verify-consistency", "--N", "10", "--random-cases", "729277"], "random_cases"),
+    ],
+)
+def test_budget_above_the_case_cap_rejected(tmp_path, capsys, argv, field):
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(argv + ["--threads", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {field}: the sweep would check more than {MAX_SWEEP_CASES} cases\n"
+    )
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_random_cases_the_dimension_cap_leaves_out_are_exit_2_naming_n(capsys):
+    # one of the 125,000 shapes has dimension 1, and 2,000 draws miss it
+    argv = ["verify-consistency", "--N", "1", "--max-summands", "1", "--max-dim", "50",
+            "--max-a", "50", "--max-d", "50", "--random-cases", "1", "--threads", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: N: the total-dimension cap leaves too few admissible random cases\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fault, argv, size, digest",
+    [
+        (
+            "shifted_decay",
+            ["verify-unitary", "--N", "6"],
+            109_827,
+            "0a687a7f2d3716c74d532b38bf3a23de122693916b1ddb5427f55e6c98e0554e",
+        ),
+        (
+            "orbit_dim",
+            ["verify-consistency", "--N", "6", "--max-summands", "2", "--max-dim", "2",
+             "--max-a", "2", "--max-d", "2", "--random-cases", "50", "--seed", "3"],
+            51_952,
+            "8db79d5cd568b09a482d7c0efe5e4309197b6396f635718f07d6e6542ad18d29",
+        ),
+    ],
+)
+def test_failing_sweep_output_bytes_are_pinned(monkeypatch, capsys, fault, argv, size, digest):
+    # a wrong upper bound fails every unitarizable case, and an orbit
+    # dimension off by 2 every consistency case, so the JSON pins each
+    # sweep's cases, their order and their failure rows
+    from gln_invariants import verify
+
+    real = verify.orbit_dim
+    faults = {"shifted_decay": lambda t, n, arthur_type: t + 1, "orbit_dim": lambda p: real(p) + 2}
+    monkeypatch.setattr(verify, fault, faults[fault])
+    assert main(argv + ["--format", "json", "--threads", "1"]) == 3
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_figure_cli_writes_csv(tmp_path, capsys):

@@ -14,6 +14,7 @@ from gln_invariants import verify
 from gln_invariants.rationals import InputError, rat_decimal
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 from gln_invariants.verify import (
+    MAX_SWEEP_CASES,
     MAX_SWEEP_N,
     ConsistencyBudget,
     FIGURE_CSV_HEADER,
@@ -165,7 +166,7 @@ def test_report_holds_each_case_to_the_bound_of_its_class():
     above_sqrt_g = 0
     for n in range(2, 9):
         for case in verify._unitary_cases(n, grid, 3):
-            pi = verify._rep_from_groups(case)
+            pi = verify._rep_from_case(case)
             report = report_for_rep(pi)
             g, t = report.g, report.t
             s = 0 if pi.is_arthur_type else Fraction(2, n)
@@ -182,7 +183,7 @@ def test_unitary_sweep_verdict_is_its_report(monkeypatch):
     monkeypatch.setattr(verify, "shifted_decay", lambda t, n, arthur_type: t + 1)
     grid = [Fraction(1, 4)]
     summary = verify_uncertainty_unitary(4, grid, threads=1)
-    reps = [verify._rep_from_groups(case) for case in verify._unitary_cases(4, grid, 3)]
+    reps = [verify._rep_from_case(case) for case in verify._unitary_cases(4, grid, 3)]
     assert summary.count == len(summary.failures) == len(reps)
     assert summary.min_gap_upper is None
     for pi, row in zip(reps, summary.failures):
@@ -228,6 +229,71 @@ def test_budgets_must_admit_a_case():
     assert verify_uncertainty_unitary(4, [], max_summands=1).count == 3  # [1][4], [2][2], [4][1]
 
 
+def test_sweep_case_cap_is_the_partition_cap():
+    # the partition sweeps hold all p(N) partitions of N: MAX_SWEEP_N is the
+    # largest N whose partitions keep to the case cap
+    assert partition_count(MAX_SWEEP_N) <= MAX_SWEEP_CASES < partition_count(MAX_SWEEP_N + 1)
+
+
+def test_unitary_case_count_matches_the_enumeration():
+    for grid in ([], [Fraction(k, 10) for k in (1, 2, 3, 4)]):
+        for n in range(1, 17):
+            for k in range(1, 5):
+                cases = sum(1 for _ in verify._unitary_cases(n, grid, k))
+                assert verify._unitary_case_count(n, grid, k) == cases, (grid, n, k)
+    grid = [Fraction(k, 10) for k in (1, 2, 3, 4)]
+    assert verify._unitary_case_count(60, grid, 3) == 377_684
+    # the count stops once it passes the cap: 1,629,922,443 cases at 6 groups
+    assert MAX_SWEEP_CASES < verify._unitary_case_count(60, grid, 6) < 2 * MAX_SWEEP_CASES
+    with pytest.raises(InputError) as exc:
+        verify_uncertainty_unitary(60, grid, max_summands=6)
+    assert exc.value.field == "max_summands"
+
+
+def test_consistency_case_cap_counts_every_case_before_building_one(monkeypatch):
+    monkeypatch.setattr(verify, "_sweep", lambda *args: iter(()))
+    monkeypatch.setattr(verify, "_random_cases", lambda *args: [])
+    default = ConsistencyBudget()  # 270,724 exhaustive cases
+    verify_consistency(default, random_cases=MAX_SWEEP_CASES - 270_724)
+    one_summand = ConsistencyBudget(max_summands=1, max_dim=100, max_a=100, max_d=100)
+    verify_consistency(one_summand, random_cases=0)
+    for budget, random_cases, field in [
+        (default, MAX_SWEEP_CASES - 270_723, "random_cases"),
+        (dataclasses.replace(one_summand, max_d=101), 0, "max_summands"),
+        (ConsistencyBudget(max_summands=8, max_dim=4), 0, "max_summands"),
+        (ConsistencyBudget(max_summands=10**9, max_dim=10**9), 0, "max_summands"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            verify_consistency(budget, random_cases=random_cases)
+        assert exc.value.field == field
+
+
+def test_cases_share_groups_of_integer_summands(monkeypatch):
+    # within a chunk (each sweep here makes one) equal groups are one object,
+    # shared by every case that holds them, and twists stay integer pairs
+    # until _rep_from_case builds the summands
+    seen = []
+    real = verify._rep_from_case
+
+    def recording(case):
+        seen.append(case)
+        return real(case)
+
+    monkeypatch.setattr(verify, "_rep_from_case", recording)
+    budget = ConsistencyBudget(max_summands=3, max_dim=2, max_a=2, max_d=2)
+    for sweep in (lambda: verify_uncertainty_unitary(8, [Fraction(1, 4)], threads=1),
+                  lambda: verify_consistency(budget, random_cases=0, threads=1)):
+        seen.clear()
+        sweep()
+        groups = [group for case in seen for group in case]
+        assert len({id(group) for group in groups}) == len(set(groups)) < len(groups)
+    cases = seen + verify._random_cases(budget, 50, seed=2)
+    for case in cases:
+        for group in case:
+            assert len(group) == 1 or (len(group) == 2 and group[0][3] == -group[1][3] > 0)
+            assert all(type(v) is int for summand in group for v in summand)
+
+
 def test_consistency_thread_determinism():
     budget = ConsistencyBudget(max_summands=2, max_dim=2, max_a=3, max_d=3)
     seq = verify_consistency(budget, random_cases=100, seed=3, threads=1)
@@ -268,9 +334,9 @@ def test_consistency_reports_a_gk_dimension_off_the_wavefront(monkeypatch):
     summary = verify_consistency(budget, random_cases=3, seed=1)
     assert summary.count == 4 + 3 and len(summary.failures) == summary.count
     note = "GK-dimension differs from half the wavefront orbit dimension"
-    specs = [[(1, 1, a, d, 0, 1)] for a in (1, 2) for d in (1, 2)]
-    specs += verify._random_case_specs(budget, 3, seed=1)
-    reps = [verify._rep_from_specs(case) for case in specs]
+    cases = [(((1, a, d, 0, 1),),) for a in (1, 2) for d in (1, 2)]
+    cases += verify._random_cases(budget, 3, seed=1)
+    reps = [verify._rep_from_case(case) for case in cases]
     assert summary.failures == [dataclasses.replace(report_for_rep(pi), note=note) for pi in reps]
     rows = [_report_json(report) for report in summary.failures[:4]]
     assert rows[0] == {"arthur_sl2": [1], "wavefront": [1],
@@ -292,7 +358,7 @@ def test_unitary_sweep_reports_a_closed_form_off_the_scan(monkeypatch):
     monkeypatch.setattr(verify, "decay_t_arthur", lambda a: real(a) + 1)
     grid = [Fraction(1, 4)]
     summary = verify_uncertainty_unitary(4, grid, threads=1)
-    reps = [verify._rep_from_groups(case) for case in verify._unitary_cases(4, grid, 3)]
+    reps = [verify._rep_from_case(case) for case in verify._unitary_cases(4, grid, 3)]
     arthur = [pi for pi in reps if pi.is_arthur_type]
     assert summary.count == len(reps) > len(arthur) > 0
     note = "closed-form t differs from prefix-sum scan"
