@@ -26,6 +26,7 @@ from .partitions import partition_tuples
 from .rationals import InputError, check_positive_int, parse_rat, rat_decimal, rat_str
 from .segments import Multisegment
 from .verify import (
+    MAX_INPUT_N,
     ConsistencyBudget,
     InvariantReport,
     SweepError,
@@ -45,12 +46,6 @@ EXIT_IO = 4
 EXIT_SWEEP = 5
 
 THREADS_ENV_VAR = "GLN_INVARIANTS_THREADS"
-
-MAX_INPUT_N = 100_000
-"""Largest total dimension N of a representation that ``parse_rep`` accepts.
-``invariants`` builds the Arthur-SL2 and the character as lists of length N
-(a Speh input with d = 100,000 took 2.5-3.1 s and 58 MB on a 2-vCPU Xeon), so
-without a cap a 62-byte input with ``"dim": 1000000000`` asks for 10^9 parts."""
 
 
 def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:

@@ -3,13 +3,14 @@
 Partitions of N parameterize nilpotent orbits of GL_N.  This module provides
 the dual (conjugate) partition, the dominance order (the closure order on
 orbits), orbit dimensions, and exhaustive enumeration in a fixed
-reverse-lexicographic order together with an independent counting recurrence.
+reverse-lexicographic order (optionally of the partitions with a bounded
+largest part) together with an independent counting recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .rationals import check_positive_int
 
@@ -121,12 +122,23 @@ def orbit_dim(p: Partition | Iterable[int]) -> int:
     return n * n - sum(c * c for c in dual)
 
 
-def partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
+def partition_tuples(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n as non-increasing tuples, in reverse-lexicographic
-    order: (n,) first, (1,...,1) last.  Each partition appears exactly once."""
+    order: (n,) first, (1,...,1) last.  Each partition appears exactly once.
+
+    With ``largest`` (a positive integer), only the partitions whose parts
+    are all at most ``largest``: the tail of that order from k^(n//k) plus
+    the remainder n%k, k = min(n, largest), since a step never raises the
+    first part."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    parts = [n]
+    k = n
+    if largest is not None:
+        check_positive_int(largest, "largest")
+        k = min(n, largest)
+    parts = [k] * (n // k)
+    if n % k:
+        parts.append(n % k)
     while True:
         yield tuple(parts)
         i = len(parts) - 1

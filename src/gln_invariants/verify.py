@@ -9,15 +9,19 @@ case, and the two classification routes to the GK-dimension, wavefront set
 and character are compared as exact equalities.  Floats appear only in CSV
 rendering columns.
 
-Every sweep chunks its cases and maps a worker over the chunks through one
-driver, ``_sweep`` (a ``concurrent.futures`` process pool when ``threads >
-1``); a failed chunk raises ``SweepError``.  Summaries merge as a monoid, so
-results are independent of the chunking.  Each failure row is the
-``report_for_rep`` of its representation, the report ``glninv invariants``
-prints, with a note naming the failed checks.  The figure's workers render
-their chunks' CSV rows from integers, grouped by GK-dimension; the parent
-writes the groups in increasing GK-dimension, chunk by chunk, which is the
-sorted row order without a comparison sort of the rows.
+Every sweep maps a worker over chunks of its cases with ``_map_chunks`` (a
+``concurrent.futures`` process pool when ``threads > 1``); a failed chunk
+raises ``SweepError``.  The partition sweeps (Arthur and figure) ship jobs
+``(N, largest part, count)`` and each worker enumerates its own run of
+partitions, so the parent builds none; the unitarizable and consistency
+sweeps cut a list or range of cases with ``_sweep``.  Summaries merge as a
+monoid, so results are independent of the chunking.  Each failure row is
+the ``report_for_rep`` of its representation, the report ``glninv
+invariants`` prints, with a note naming the failed checks.  The figure's
+workers render their chunks' CSV rows from integers, grouped by
+GK-dimension; the parent writes the groups in increasing GK-dimension, chunk
+by chunk, which is the sorted row order without a comparison sort of the
+rows.
 
 A unitarizable or consistency case is a tuple of shared summand groups: group
 i (from 1) is one ``(dim, a, d, x_num, x_den)`` summand over the label rho{i},
@@ -46,16 +50,26 @@ from .segments import SupercuspidalLabel
 
 MAX_SWEEP_N = 60
 """Largest N that ``verify_uncertainty_arthur``, ``figure_rows`` and
-``write_figure_csv`` accept.  Each holds all p(N) partitions of N in memory:
-p(60) = 966,467 tuples (``figure --N 60`` peaks near 330 MB on one thread,
-its rendered rows included, and near 330 MB in the parent plus 270 MB in each
-worker on two), where p(100) = 190,569,292 would need about 200 times as
-much.  The partition stream itself (``partition_tuples``) is not capped.
-For these sweeps it is the case cap: p(60) <= MAX_SWEEP_CASES < p(61)."""
+``write_figure_csv`` accept: the case cap, as p(60) = 966,467 <=
+MAX_SWEEP_CASES < p(61).  The Arthur sweep holds no list of partitions (its
+workers enumerate their own), so ``verify-arthur --N 60`` peaks near 20 MB
+per process; the figure's parent still holds every rendered row
+(``figure --N 60`` peaks near 240 MB on one thread, and near 240 MB in the
+parent plus 100 MB in each worker on two), and ``figure_rows`` every row.  The partition stream itself
+(``partition_tuples``) is not capped."""
 
 MAX_SWEEP_CASES = 1_000_000
-"""Most cases a sweep checks: its cases are all held in memory, and
-``verify-unitary --N 60 --max-summands 6`` would ask for 1,629,922,443."""
+"""Most cases a sweep checks: the unitarizable and consistency sweeps hold
+all their cases in memory, and ``verify-unitary --N 60 --max-summands 6``
+would ask for 1,629,922,443."""
+
+MAX_INPUT_N = 100_000
+"""Largest total dimension N of a representation: ``cli.parse_rep`` rejects
+a larger input, and ``verify_uncertainty_unitary`` a larger N before it
+builds a summand group.  ``invariants`` builds the Arthur-SL2 and the
+character as lists of length N (a Speh input with d = 100,000 took 2.5-3.1 s
+and 58 MB on a 2-vCPU Xeon), so without a cap a 62-byte input with
+``"dim": 1000000000`` asks for 10^9 parts."""
 
 FIGURE_CSV_HEADER = (
     "partition,d_gk,g_num,g_den,t_num,t_den,g_float,t_float,sqrt_g_float,lower_ok,upper_ok"
@@ -187,6 +201,34 @@ def _sweep(worker, key, cases: Sequence, threads: int, floor: int) -> Iterator:
     return _map_chunks(worker, jobs, threads)
 
 
+def _partition_jobs(N: int, threads: int) -> list[tuple[int, int, int]]:
+    """Jobs ``(N, largest, count)`` that cover the partitions of N in
+    enumeration order: a job's partitions are the first ``count`` of those
+    with parts at most ``largest`` (``_job_partitions``), whole runs of one
+    first part grouped until they reach ``_chunk_size``.  The run sizes come
+    from ways[m][k], the partitions of m with parts at most k, so no
+    partition is built here and a job pickles to a few bytes."""
+    ways = [[1] * (N + 1)]
+    for m in range(1, N + 1):
+        row = [0]
+        for k in range(1, N + 1):
+            row.append(row[k - 1] + (ways[m - k][k] if k <= m else 0))
+        ways.append(row)
+    size = _chunk_size(ways[N][N], threads, 2000)
+    jobs, largest, count = [], N, 0
+    for first in range(N, 0, -1):
+        count += ways[N - first][first]  # the partitions of N whose first part is `first`
+        if count >= size or first == 1:
+            jobs.append((N, largest, count))
+            largest, count = first - 1, 0
+    return jobs
+
+
+def _job_partitions(job) -> Iterator[tuple[int, ...]]:
+    n, largest, count = job
+    return itertools.islice(partition_tuples(n, largest), count)
+
+
 def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
     """``worker(job)`` for each job in order, in a process pool when there are
     several threads and jobs; a failure raises SweepError naming the job."""
@@ -234,24 +276,31 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     return _max_ratio_blocks(top + middle + [(-v, mult) for v, mult in reversed(top)], 2)
 
 
-def check_sweep_n(N: int, capped: bool = True) -> None:
-    """Reject an N below 2 and, for a sweep that holds every partition of N
-    (``capped``), above MAX_SWEEP_N, before any case is enumerated."""
+def check_sweep_n(N: int, every_partition: bool = True) -> None:
+    """Reject an N below 2, or above the cap, before any case is built:
+    MAX_SWEEP_N for a sweep over every partition of N, else MAX_INPUT_N."""
     if N < 2:
         raise InputError("N", "must be at least 2")
-    if capped and N > MAX_SWEEP_N:
+    if every_partition and N > MAX_SWEEP_N:
         raise InputError(
-            "N", f"must be at most {MAX_SWEEP_N}, as every partition of N is held in memory"
+            "N", f"must be at most {MAX_SWEEP_N}, as p(N) exceeds the case cap of "
+            f"{MAX_SWEEP_CASES} above it"
+        )
+    if N > MAX_INPUT_N:
+        raise InputError(
+            "N", f"must be at most {MAX_INPUT_N}, the cap on a representation's total dimension"
         )
 
 
 def _arthur_chunk(job) -> SweepSummary:
-    n, chunk = job
+    n = job[0]
     nn1 = n * (n - 1)
     failures = []
+    checked = 0
     min_low = None  # (num, den) of t - g
     min_up = None  # (num, den) of g - t^2
-    for parts in chunk:
+    for parts in _job_partitions(job):
+        checked += 1
         s, _, tn, td = _partition_stats(parts, n)
         scan_n, scan_d = _scan_two_xi(parts, n)
         notes = []
@@ -271,7 +320,7 @@ def _arthur_chunk(job) -> SweepSummary:
             min_up = up
     return SweepSummary(
         N=n,
-        count=len(chunk),
+        count=checked,
         failures=failures,
         min_gap_lower=None if min_low is None else Fraction(*min_low),
         min_gap_upper=None if min_up is None else Fraction(*min_up),
@@ -295,7 +344,7 @@ def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
     the closed form and cross-checked against the full scan on every case.
     N must lie in 2..MAX_SWEEP_N."""
     check_sweep_n(N)
-    chunks = _sweep(_arthur_chunk, N, list(partition_tuples(N)), threads, 2000)
+    chunks = _map_chunks(_arthur_chunk, _partition_jobs(N, threads), threads)
     return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
 
 
@@ -350,11 +399,12 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
     them in their RSS.  Rows share their columns after the partition with
     every row of equal ``_partition_stats`` (8,060 distinct among the
     204,226 partitions of 50), so those are rendered once per chunk."""
-    n, chunk = job
+    n = job[0]
     rendered: dict[tuple[int, int, int, int], tuple[int, str, bool]] = {}
     lines: dict[int, list[str]] = {}
-    violations = 0
-    for parts in chunk:
+    count = violations = 0
+    for parts in _job_partitions(job):
+        count += 1
         stats = _partition_stats(parts, n)
         row = rendered.get(stats)
         if row is None:
@@ -370,7 +420,7 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
         spans[d_gk] = (at, at + size)
         at += size
         rows += group
-    return "".join(rows), spans, len(chunk), violations
+    return "".join(rows), spans, count, violations
 
 
 def figure_rows(N: int) -> list[FigureRow]:
@@ -398,7 +448,7 @@ def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
     2..MAX_SWEEP_N.
     """
     check_sweep_n(N)
-    chunks = _sweep(_figure_chunk, N, list(partition_tuples(N)), threads, 2000)
+    chunks = _map_chunks(_figure_chunk, _partition_jobs(N, threads), threads)
     texts, spans, counts, violations = zip(*chunks)
     out.write(FIGURE_CSV_HEADER + "\n")
     for d_gk in sorted(set().union(*spans)):
@@ -504,7 +554,7 @@ def verify_uncertainty_unitary(
     labels, with at most ``max_summands`` summand groups and twists drawn
     from the grid; the Arthur-type ones also cross-check the closed-form t.
     A budget of more than MAX_SWEEP_CASES cases is rejected."""
-    check_sweep_n(N, capped=False)
+    check_sweep_n(N, every_partition=False)
     check_positive_int(max_summands, "max_summands")
     grid = [Fraction(y) for y in twist_grid]
     for y in grid:

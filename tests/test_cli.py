@@ -87,6 +87,14 @@ def test_invariants_csv_format(tmp_path, capsys):
     assert "t.num,1" in out
 
 
+def _subprocess_env():
+    """The environment for a child interpreter that imports this package."""
+    path = [os.path.dirname(os.path.dirname(gln_invariants.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def _rho(name, dim=1):
     return {"id": name, "dim": dim}
 
@@ -352,6 +360,23 @@ def test_sweep_n_above_the_cap_rejected(capsys, command):
     assert captured.err.startswith(f"error: N: must be at most {MAX_SWEEP_N}, ")
 
 
+@pytest.mark.parametrize("n", [MAX_INPUT_N + 1, 10**9])
+def test_unitary_sweep_n_above_the_dimension_cap_rejected(n):
+    # the summand groups grow as N log N and were built, twice, before the
+    # case count could reject anything: counting them took seconds at 10^5
+    run = subprocess.run(
+        [sys.executable, "-m", "gln_invariants", "verify-unitary", "--N", str(n),
+         "--threads", "1"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=20,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == (
+        f"error: N: must be at most {MAX_INPUT_N}, the cap on a representation's "
+        "total dimension\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -559,10 +584,7 @@ def test_failure_in_a_worker_exits_3_with_its_rows():
     # p(26) = 2436 partitions make two chunks, so --threads 2 uses a pool; a
     # failure report that cannot cross back from a worker hangs the pool,
     # which the timeout turns into a test failure
-    path = [os.path.dirname(os.path.dirname(gln_invariants.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = _subprocess_env()
     outputs = []
     for threads in ("1", "2"):
         argv = ["verify-arthur", "--N", "26", "--threads", threads]
@@ -600,7 +622,7 @@ WORKER_FAULT = textwrap.dedent(
 
     def unloadable_chunk(job):
         summary = arthur_chunk(job)
-        report = verify.report_for_arthur_partition(job[1][0])
+        report = verify.report_for_arthur_partition(next(verify._job_partitions(job)))
         summary.failures.append(dataclasses.replace(report, note=Unloadable("injected")))
         return summary
 
@@ -623,14 +645,10 @@ WORKER_FAULT = textwrap.dedent(
 def test_worker_fault_exits_5_naming_the_chunk(fault, threads):
     # p(26) = 2436 partitions make two chunks, so --threads 2 uses a pool; a
     # pool that hangs on a result it cannot unpickle fails on the timeout
-    path = [os.path.dirname(os.path.dirname(gln_invariants.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     run = subprocess.run(
         [sys.executable, "-c", WORKER_FAULT, fault, "verify-arthur", "--N", "26",
          "--threads", threads],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
     )
     assert "Traceback" not in run.stderr
     if fault == "unpickle" and threads == "1":
@@ -651,13 +669,9 @@ def test_long_part_beside_many_unit_parts_finishes_quickly(tmp_path):
     hook = {"summands": [{"rho": _rho("r"), "a": 1, "d": 50000},
                          {"rho": _rho("s", 50000), "a": 1, "d": 1}]}
     path = write(tmp_path, "hook.json", hook)
-    src = [os.path.dirname(os.path.dirname(gln_invariants.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        src.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src))
     run = subprocess.run(
         [sys.executable, "-m", "gln_invariants", "invariants", "--input", path],
-        capture_output=True, text=True, env=env, timeout=20,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=20,
     )
     assert run.returncode == 0, run.stderr
     data = json.loads(run.stdout)

@@ -171,6 +171,21 @@ def test_enumeration_is_reverse_lexicographic_and_unique():
             assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
+def test_bounded_enumeration_is_the_filtered_enumeration():
+    for n in range(1, 21):
+        every = list(partition_tuples(n))
+        for largest in range(1, n + 2):
+            expected = [p for p in every if p[0] <= largest]
+            assert list(partition_tuples(n, largest)) == expected
+
+
+@pytest.mark.parametrize("largest", [0, -2, 2.0, True])
+def test_bounded_enumeration_checks_its_bound(largest):
+    with pytest.raises(InputError) as exc:
+        next(partition_tuples(5, largest))
+    assert exc.value.field == "largest"
+
+
 def test_counts_match_recurrence_oracle():
     # frozen values, computed with an external recurrence before the build
     assert partition_count(5) == 7

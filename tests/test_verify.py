@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 import pickle
@@ -95,6 +96,32 @@ def test_arthur_sweep_thread_determinism():
     assert seq.ok and par.ok
     assert seq.min_gap_lower == par.min_gap_lower
     assert seq.min_gap_upper == par.min_gap_upper
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_partition_jobs_cover_the_enumeration_in_order(threads):
+    for n in range(2, 41):
+        jobs = verify._partition_jobs(n, threads)
+        shipped = [parts for job in jobs for parts in verify._job_partitions(job)]
+        assert shipped == list(partition_tuples(n))
+        assert sum(count for _, _, count in jobs) == partition_count(n)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_partition_sweeps_ship_no_partitions(monkeypatch, threads):
+    # a job is (N, largest part, count): its worker enumerates the partitions
+    shipped = []
+    real = verify._map_chunks
+
+    def recording(worker, jobs, threads):
+        shipped.extend(jobs)
+        return real(worker, jobs, threads)
+
+    monkeypatch.setattr(verify, "_map_chunks", recording)
+    assert verify_uncertainty_arthur(30, threads=threads).count == partition_count(30)
+    assert write_figure_csv(30, io.StringIO(), threads=threads)[0] == partition_count(30)
+    assert len(shipped) == 6  # p(30) = 5604 partitions make three jobs per sweep
+    assert all(len(pickle.dumps(job)) < 100 for job in shipped)
 
 
 def test_arthur_sweep_rejects_small_n():
@@ -480,6 +507,14 @@ def figure_csv_oracle(n):
         )
     violations = sum(1 for r in rows if not (r.lower_ok and r.upper_ok))
     return "".join(out), len(rows), violations
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_full_figure_bytes_are_pinned(threads):
+    buf = io.StringIO()
+    assert write_figure_csv(50, buf, threads=threads) == (partition_count(50), 0)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "d1eebec8b88bef16c0e515bba2a1185b96f9dc68eed36df6808c56f25360dc5f"
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
