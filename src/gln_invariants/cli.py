@@ -31,7 +31,7 @@ from .verify import (
     InvariantReport,
     SweepError,
     SweepSummary,
-    check_sweep_n,
+    partition_ranks,
     report_for_rep,
     verify_consistency,
     verify_uncertainty_arthur,
@@ -59,7 +59,7 @@ def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
             raise InputError("<input>", f"not valid UTF-8: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
         raise InputError("<input>", f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("<input>", "expected a JSON object")
@@ -313,7 +313,7 @@ def _cmd_verify_consistency(args) -> int:
 
 def _cmd_figure(args) -> int:
     threads = _resolve_threads(args)
-    check_sweep_n(args.N)  # before --out is truncated
+    partition_ranks(args.N)  # before --out is truncated
     with _output(args) as out:
         count, violations = write_figure_csv(args.N, out, threads=threads)
     if args.out:

@@ -4,7 +4,7 @@ The decay rate of a unitarizable representation is encoded by
 ``t = 1 - 2/p`` where p is the L^p-integrability exponent.  It is computed
 from the character multiset by maximizing ``2*sigma_i / (i(N-i))`` over the
 prefix sums sigma_i of the non-increasing rearrangement.  For Arthur-type
-data there is a closed form depending only on the largest entry of the
+data there is a closed form depending only on the greatest entry of the
 attached partition and its multiplicity; both routes are implemented and
 cross-checked in the test suite, never trusted alone.
 
@@ -220,7 +220,7 @@ def _partition_stats(parts: tuple[int, ...], n: int) -> tuple[int, int, int, int
     is ``parts`` (a partition of n, parts non-increasing): s = sum of d(d-1),
     so g = s/(n(n-1)); the sum of d^2, so d_GK = (n^2 - sum)/2; and the
     closed-form t as an unreduced (numerator, denominator):
-    t = (d_1 - 1)/(n - a_1), with d_1 the largest part and a_1 its
+    t = (d_1 - 1)/(n - a_1), with d_1 the greatest part and a_1 its
     multiplicity, and t = 0 when d_1 = 1."""
     sq = 0
     for d in parts:

@@ -3,8 +3,8 @@
 Partitions of N parameterize nilpotent orbits of GL_N.  This module provides
 the dual (conjugate) partition, the dominance order (the closure order on
 orbits), orbit dimensions, and exhaustive enumeration in a fixed
-reverse-lexicographic order (optionally of the partitions with a bounded
-largest part) together with an independent counting recurrence.
+reverse-lexicographic order (optionally resumed from any partition)
+together with an independent counting recurrence.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .rationals import check_positive_int
+from .rationals import InputError, check_positive_int
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -81,7 +81,7 @@ def as_parts(p: Partition | Iterable[int]) -> tuple[int, ...]:
 
 def dual_partition(p: Partition | Iterable[int]) -> Partition:
     """Dual (conjugate) partition: the j-th part counts parts of p of size >= j.
-    Built in O(len(p) + d1), d1 the largest part, from the count of each part
+    Built in O(len(p) + d1), d1 the first part, from the count of each part
     size and a running suffix sum of those counts."""
     parts = as_parts(p)
     counts = [0] * (parts[0] + 1)
@@ -122,23 +122,18 @@ def orbit_dim(p: Partition | Iterable[int]) -> int:
     return n * n - sum(c * c for c in dual)
 
 
-def partition_tuples(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def partition_tuples(n: int, start: Optional[Iterable[int]] = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n as non-increasing tuples, in reverse-lexicographic
     order: (n,) first, (1,...,1) last.  Each partition appears exactly once.
 
-    With ``largest`` (a positive integer), only the partitions whose parts
-    are all at most ``largest``: the tail of that order from k^(n//k) plus
-    the remainder n%k, k = min(n, largest), since a step never raises the
-    first part."""
+    With ``start`` (a partition of n, parts non-increasing), the tail of that
+    order from ``start`` on."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    k = n
-    if largest is not None:
-        check_positive_int(largest, "largest")
-        k = min(n, largest)
-    parts = [k] * (n // k)
-    if n % k:
-        parts.append(n % k)
+    parts = [n] if start is None else list(start)
+    ordered = all(type(p) is int and p > 0 for p in parts) and parts == sorted(parts)[::-1]
+    if not ordered or sum(parts) != n:
+        raise InputError("start", f"must be a partition of {n}, parts non-increasing")
     while True:
         yield tuple(parts)
         i = len(parts) - 1

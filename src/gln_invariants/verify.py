@@ -9,13 +9,13 @@ case, and the two classification routes to the GK-dimension, wavefront set
 and character are compared as exact equalities.  Floats appear only in CSV
 rendering columns.
 
-Every sweep maps a worker over chunks of its cases with ``_map_chunks`` (a
-``concurrent.futures`` process pool when ``threads > 1``); a failed chunk
-raises ``SweepError``.  The partition sweeps (Arthur and figure) ship jobs
-``(N, largest part, count)`` and each worker enumerates its own run of
-partitions, so the parent builds none; the unitarizable and consistency
-sweeps cut a list or range of cases with ``_sweep``.  Summaries merge as a
-monoid, so results are independent of the chunking.  Each failure row is
+Every sweep cuts a list or range of its cases into chunks with ``_sweep``
+and maps a worker over them (a ``concurrent.futures`` process pool when
+``threads > 1``); a failed chunk raises ``SweepError``.  The partition sweeps
+(Arthur and figure) cut the ranks ``range(p(N))`` of the partitions of N, and
+each worker enumerates its own run of partitions from the one at its first
+rank, so the parent builds none.  Summaries merge as a monoid, so results
+are independent of the chunking.  Each failure row is
 the ``report_for_rep`` of its representation, the report ``glninv
 invariants`` prints, with a note naming the failed checks.  The figure's
 workers render their chunks' CSV rows from integers, grouped by
@@ -25,8 +25,9 @@ rows.
 
 A unitarizable or consistency case is a tuple of shared summand groups: group
 i (from 1) is one ``(dim, a, d, x_num, x_den)`` summand over the label rho{i},
-or a +/- twisted pair, and ``_rep_from_case`` builds it (or a partition).  A
-sweep of more than ``MAX_SWEEP_CASES`` cases is rejected before any is built.
+or a +/- twisted pair, and ``_rep_from_case`` builds it (or a partition).  Every
+sweep counts its cases first and rejects more than ``MAX_SWEEP_CASES`` before
+building one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -48,20 +48,13 @@ from .partitions import Partition, as_parts, dual_partition, orbit_dim, partitio
 from .rationals import InputError, check_positive_int, ratio_decimal
 from .segments import SupercuspidalLabel
 
-MAX_SWEEP_N = 60
-"""Largest N that ``verify_uncertainty_arthur``, ``figure_rows`` and
-``write_figure_csv`` accept: the case cap, as p(60) = 966,467 <=
-MAX_SWEEP_CASES < p(61).  The Arthur sweep holds no list of partitions (its
-workers enumerate their own), so ``verify-arthur --N 60`` peaks near 20 MB
-per process; the figure's parent still holds every rendered row
-(``figure --N 60`` peaks near 240 MB on one thread, and near 240 MB in the
-parent plus 100 MB in each worker on two), and ``figure_rows`` every row.  The partition stream itself
-(``partition_tuples``) is not capped."""
-
 MAX_SWEEP_CASES = 1_000_000
-"""Most cases a sweep checks: the unitarizable and consistency sweeps hold
-all their cases in memory, and ``verify-unitary --N 60 --max-summands 6``
-would ask for 1,629,922,443."""
+"""Most cases a sweep checks, counted before any is built.  The unitarizable
+and consistency sweeps hold all their cases in memory (``verify-unitary --N
+60 --max-summands 6`` would ask for 1,629,922,443), and the figure every
+rendered row; p(60) = 966,467 <= MAX_SWEEP_CASES < p(61), so the partition
+sweeps stop at N = 60 (``figure --N 60`` peaks near 240 MB).  The partition
+stream itself (``partition_tuples``) is not capped."""
 
 MAX_INPUT_N = 100_000
 """Largest total dimension N of a representation: ``cli.parse_rep`` rejects
@@ -201,32 +194,42 @@ def _sweep(worker, key, cases: Sequence, threads: int, floor: int) -> Iterator:
     return _map_chunks(worker, jobs, threads)
 
 
-def _partition_jobs(N: int, threads: int) -> list[tuple[int, int, int]]:
-    """Jobs ``(N, largest, count)`` that cover the partitions of N in
-    enumeration order: a job's partitions are the first ``count`` of those
-    with parts at most ``largest`` (``_job_partitions``), whole runs of one
-    first part grouped until they reach ``_chunk_size``.  The run sizes come
-    from ways[m][k], the partitions of m with parts at most k, so no
-    partition is built here and a job pickles to a few bytes."""
-    ways = [[1] * (N + 1)]
-    for m in range(1, N + 1):
-        row = [0]
-        for k in range(1, N + 1):
-            row.append(row[k - 1] + (ways[m - k][k] if k <= m else 0))
-        ways.append(row)
-    size = _chunk_size(ways[N][N], threads, 2000)
-    jobs, largest, count = [], N, 0
-    for first in range(N, 0, -1):
-        count += ways[N - first][first]  # the partitions of N whose first part is `first`
-        if count >= size or first == 1:
-            jobs.append((N, largest, count))
-            largest, count = first - 1, 0
-    return jobs
+def _partition_counts(N: int) -> list[list[int]]:
+    """ways[m][k], the partitions of m with parts at most k <= m, row by row
+    for m = 0..N; stops early after the first row whose total p(m) = ways[m][m]
+    passes MAX_SWEEP_CASES."""
+    ways = [[1]]
+    while len(ways) <= N and ways[-1][-1] <= MAX_SWEEP_CASES:
+        m = len(ways)
+        runs = (ways[m - k][min(k, m - k)] for k in range(1, m + 1))  # first part k
+        ways.append(list(itertools.accumulate(runs, initial=0)))
+    return ways
 
 
-def _job_partitions(job) -> Iterator[tuple[int, ...]]:
-    n, largest, count = job
-    return itertools.islice(partition_tuples(n, largest), count)
+def partition_ranks(N: int) -> range:
+    """``range(p(N))``, the ranks of the partitions of N in the order of
+    ``partition_tuples``; InputError for N < 2 or p(N) > MAX_SWEEP_CASES."""
+    total = _partition_counts(N)[-1][-1]
+    _check_case_count(total, "N")
+    check_sweep_n(N)
+    return range(total)
+
+
+def _ranked_partitions(job) -> Iterator[tuple[int, ...]]:
+    """The partitions of n at ``ranks``, enumerated from the one at the first
+    rank.  The counting table locates it part by part: split ``rest`` into
+    parts at most k, the first part j = k, k - 1, ... runs for
+    ways[rest - j][min(j, rest - j)] ranks."""
+    n, ranks = job
+    ways, rank, rest, start = _partition_counts(n), ranks.start, n, []
+    while rest:
+        j = min(start[-1], rest) if start else rest
+        while rank >= (run := ways[rest - j][min(j, rest - j)]):
+            rank -= run
+            j -= 1
+        start.append(j)
+        rest -= j
+    return itertools.islice(partition_tuples(n, start), len(ranks))
 
 
 def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
@@ -259,7 +262,7 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     """Full prefix-sum scan of the character attached to a partition of n
     (parts non-increasing): each part d gives the doubled entries d-1, d-3,
     ..., 1-d.  Their run-length blocks at unit 2 are built in O(d1), d1 the
-    largest part, and ``decay._max_ratio_blocks`` takes the exact maximum
+    greatest part, and ``decay._max_ratio_blocks`` takes the exact maximum
     over every cut, comparing at most the two end cuts of each block, on
     which the ratio is convex or decreasing.  Returns the unreduced
     (num, den) of the maximum ratio, the value decay_t gives."""
@@ -276,16 +279,10 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     return _max_ratio_blocks(top + middle + [(-v, mult) for v, mult in reversed(top)], 2)
 
 
-def check_sweep_n(N: int, every_partition: bool = True) -> None:
-    """Reject an N below 2, or above the cap, before any case is built:
-    MAX_SWEEP_N for a sweep over every partition of N, else MAX_INPUT_N."""
+def check_sweep_n(N: int) -> None:
+    """Reject an N below 2, or above MAX_INPUT_N, before any case is built."""
     if N < 2:
         raise InputError("N", "must be at least 2")
-    if every_partition and N > MAX_SWEEP_N:
-        raise InputError(
-            "N", f"must be at most {MAX_SWEEP_N}, as p(N) exceeds the case cap of "
-            f"{MAX_SWEEP_CASES} above it"
-        )
     if N > MAX_INPUT_N:
         raise InputError(
             "N", f"must be at most {MAX_INPUT_N}, the cap on a representation's total dimension"
@@ -299,7 +296,7 @@ def _arthur_chunk(job) -> SweepSummary:
     checked = 0
     min_low = None  # (num, den) of t - g
     min_up = None  # (num, den) of g - t^2
-    for parts in _job_partitions(job):
+    for parts in _ranked_partitions(job):
         checked += 1
         s, _, tn, td = _partition_stats(parts, n)
         scan_n, scan_d = _scan_two_xi(parts, n)
@@ -342,9 +339,8 @@ def _failure_report(
 def verify_uncertainty_arthur(N: int, threads: int = 1) -> SweepSummary:
     """Check g <= t and t^2 <= g for every partition of N, with t computed by
     the closed form and cross-checked against the full scan on every case.
-    N must lie in 2..MAX_SWEEP_N."""
-    check_sweep_n(N)
-    chunks = _map_chunks(_arthur_chunk, _partition_jobs(N, threads), threads)
+    N must be at least 2, with p(N) <= MAX_SWEEP_CASES."""
+    chunks = _sweep(_arthur_chunk, N, partition_ranks(N), threads, 2000)
     return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
 
 
@@ -403,7 +399,7 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
     rendered: dict[tuple[int, int, int, int], tuple[int, str, bool]] = {}
     lines: dict[int, list[str]] = {}
     count = violations = 0
-    for parts in _job_partitions(job):
+    for parts in _ranked_partitions(job):
         count += 1
         stats = _partition_stats(parts, n)
         row = rendered.get(stats)
@@ -426,8 +422,8 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
 def figure_rows(N: int) -> list[FigureRow]:
     """One row per partition of N, sorted by GK-dimension and then by the
     canonical enumeration order.  All fields exact; the verdicts compare
-    ``Fraction``s.  N must lie in 2..MAX_SWEEP_N."""
-    check_sweep_n(N)
+    ``Fraction``s.  N must be at least 2, with p(N) <= MAX_SWEEP_CASES."""
+    partition_ranks(N)
     rows = []
     for parts in partition_tuples(N):
         s, sq, tn, td = _partition_stats(parts, N)
@@ -442,13 +438,12 @@ def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
     endings; returns (row count, number of rows violating a bound).
 
     Workers render their chunks' rows grouped by d_GK; the groups are
-    written in increasing d_GK and, within one d_GK, in job order.  Chunks
+    written in increasing d_GK and, within one d_GK, in chunk order.  Chunks
     follow enumeration order, so no sort of the rows is needed and the
-    output is byte-identical across runs and thread counts.  N must lie in
-    2..MAX_SWEEP_N.
+    output is byte-identical across runs and thread counts.  N must be at
+    least 2, with p(N) <= MAX_SWEEP_CASES.
     """
-    check_sweep_n(N)
-    chunks = _map_chunks(_figure_chunk, _partition_jobs(N, threads), threads)
+    chunks = _sweep(_figure_chunk, N, partition_ranks(N), threads, 2000)
     texts, spans, counts, violations = zip(*chunks)
     out.write(FIGURE_CSV_HEADER + "\n")
     for d_gk in sorted(set().union(*spans)):
@@ -494,18 +489,26 @@ def _unitary_cases(N: int, twist_grid: Sequence[Fraction], max_summands: int) ->
 
 def _unitary_case_count(N: int, twist_grid: Sequence[Fraction], max_summands: int) -> int:
     """How many cases ``_unitary_cases`` yields, or a number above
-    MAX_SWEEP_CASES once past it.  Counted by weights, largest first (a
+    MAX_SWEEP_CASES once past it.  Counted by weights, heaviest first (a
     weight taken j times from its m groups gives C(m + j - 1, j) multisets);
-    every weight up to N has a group, so each weight profile visited is a case."""
-    ways = Counter(_case_dim((group,)) for group in _unitary_groups(N, twist_grid))
+    every weight up to N has a group, so each weight profile visited is a case.
+    The groups of weight w are read from divisor counts, not built: one per
+    a * d = w, and one per twist for each 2 * a * d = w."""
+
+    def divisors(m: int) -> int:
+        r = math.isqrt(m)
+        return 2 * sum(1 for a in range(1, r + 1) if m % a == 0) - (r * r == m)
+
+    def ways(w: int) -> int:
+        return divisors(w) + (len(twist_grid) * divisors(w // 2) if w % 2 == 0 else 0)
 
     def count(rest: int, k: int, top: int) -> int:  # <= k groups, each of weight <= top
         if rest == 0 or k == 0:
             return int(rest == 0)
         total = 0
-        for w in range(min(top, rest), -(-rest // k) - 1, -1):  # the largest w has k * w >= rest
+        for w in range(min(top, rest), -(-rest // k) - 1, -1):  # the heaviest has k * w >= rest
             for j in range(1, min(k, rest // w) + 1):
-                total += math.comb(ways[w] + j - 1, j) * count(rest - j * w, k - j, w - 1)
+                total += math.comb(ways(w) + j - 1, j) * count(rest - j * w, k - j, w - 1)
                 if total > MAX_SWEEP_CASES:
                     return total
         return total
@@ -554,7 +557,7 @@ def verify_uncertainty_unitary(
     labels, with at most ``max_summands`` summand groups and twists drawn
     from the grid; the Arthur-type ones also cross-check the closed-form t.
     A budget of more than MAX_SWEEP_CASES cases is rejected."""
-    check_sweep_n(N, every_partition=False)
+    check_sweep_n(N)
     check_positive_int(max_summands, "max_summands")
     grid = [Fraction(y) for y in twist_grid]
     for y in grid:

@@ -13,7 +13,7 @@ from gln_invariants.cli import MAX_INPUT_N, main, parse_rep
 from gln_invariants.arthur import UnitaryRep
 from gln_invariants.partitions import partition_count
 from gln_invariants.segments import Multisegment
-from gln_invariants.verify import MAX_SWEEP_CASES, MAX_SWEEP_N
+from gln_invariants.verify import MAX_SWEEP_CASES
 
 SPEH = {"summands": [{"rho": {"id": "rho", "dim": 1}, "a": 1, "d": 4, "x": "0"}]}
 MSEG = {
@@ -189,6 +189,25 @@ def test_invalid_utf8_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: <input>: not valid UTF-8")
 
 
+@pytest.mark.parametrize("command", ["invariants", "dual"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 3000,  # nested past the decoder's recursion limit
+        '{"summands": [{"a": ' + "9" * 5000 + "}]}",  # past the int-conversion digit limit
+    ],
+    ids=["nested", "long-int"],
+)
+def test_json_the_decoder_rejects_is_exit_2_naming_the_input(tmp_path, capsys, command, text):
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: <input>: invalid JSON: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_boundary_twist_rejected_with_field(tmp_path, capsys):
     bad = {"summands": [{"rho": {"id": "r", "dim": 1}, "a": 1, "d": 2, "x": "1/2"}]}
     path = write(tmp_path, "bad.json", bad)
@@ -354,10 +373,28 @@ def test_empty_sweep_budget_rejected(capsys, argv, field):
 
 @pytest.mark.parametrize("command", ["verify-arthur", "figure"])
 def test_sweep_n_above_the_cap_rejected(capsys, command):
-    assert main([command, "--N", str(MAX_SWEEP_N + 1), "--threads", "1"]) == 2
+    # p(61) = 1,121,505 partitions
+    assert main([command, "--N", "61", "--threads", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: N: must be at most {MAX_SWEEP_N}, ")
+    assert captured.err == f"error: N: the sweep would check more than {MAX_SWEEP_CASES} cases\n"
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("verify-arthur", "N"), ("figure", "N"), ("verify-unitary", "max_summands")],
+)
+def test_sweep_at_n_100000_exits_2_at_once(command, field):
+    # p(N) and the unitarizable cases are counted only until they pass the
+    # case cap; a unitary count that builds every summand group first takes
+    # 6.6-9.1 s on a 2-vCPU Xeon
+    run = subprocess.run(
+        [sys.executable, "-m", "gln_invariants", command, "--N", "100000", "--threads", "1"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=5,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"error: {field}: the sweep would check more than {MAX_SWEEP_CASES} cases\n"
 
 
 @pytest.mark.parametrize("n", [MAX_INPUT_N + 1, 10**9])
@@ -396,7 +433,7 @@ def test_n_below_its_floor_is_exit_2_naming_n(tmp_path, capsys, argv):
     assert out.read_text(encoding="utf-8") == "kept\n"
 
 
-@pytest.mark.parametrize("n", [1, MAX_SWEEP_N + 1])
+@pytest.mark.parametrize("n", [1, 61])
 def test_rejected_figure_leaves_out_file_intact(tmp_path, capsys, n):
     out = tmp_path / "fig.csv"
     out.write_text("kept\n", encoding="utf-8")
@@ -622,7 +659,7 @@ WORKER_FAULT = textwrap.dedent(
 
     def unloadable_chunk(job):
         summary = arthur_chunk(job)
-        report = verify.report_for_arthur_partition(next(verify._job_partitions(job)))
+        report = verify.report_for_arthur_partition(next(verify._ranked_partitions(job)))
         summary.failures.append(dataclasses.replace(report, note=Unloadable("injected")))
         return summary
 

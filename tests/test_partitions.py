@@ -171,19 +171,26 @@ def test_enumeration_is_reverse_lexicographic_and_unique():
             assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
-def test_bounded_enumeration_is_the_filtered_enumeration():
+def test_enumeration_resumes_from_any_start():
     for n in range(1, 21):
         every = list(partition_tuples(n))
-        for largest in range(1, n + 2):
-            expected = [p for p in every if p[0] <= largest]
-            assert list(partition_tuples(n, largest)) == expected
+        for rank, start in enumerate(every):
+            assert list(partition_tuples(n, start)) == every[rank:]
+            assert list(partition_tuples(n, list(start))) == every[rank:]
 
 
-@pytest.mark.parametrize("largest", [0, -2, 2.0, True])
-def test_bounded_enumeration_checks_its_bound(largest):
+@pytest.mark.parametrize("part", [0, -2, 2.0, True])
+def test_enumeration_checks_its_start(part):
     with pytest.raises(InputError) as exc:
-        next(partition_tuples(5, largest))
-    assert exc.value.field == "largest"
+        next(partition_tuples(5, (3, part, 1)))
+    assert exc.value.field == "start"
+
+
+@pytest.mark.parametrize("start", [(), (4,), (3, 3), (1, 4), (2, 1, 2)])
+def test_enumeration_start_must_be_an_ordered_partition_of_n(start):
+    with pytest.raises(InputError) as exc:
+        next(partition_tuples(5, start))
+    assert exc.value.field == "start"
 
 
 def test_counts_match_recurrence_oracle():

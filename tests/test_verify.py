@@ -16,12 +16,12 @@ from gln_invariants.rationals import InputError, rat_decimal
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 from gln_invariants.verify import (
     MAX_SWEEP_CASES,
-    MAX_SWEEP_N,
     ConsistencyBudget,
     FIGURE_CSV_HEADER,
     SweepSummary,
     _scan_two_xi,
     figure_rows,
+    partition_ranks,
     report_for_arthur_partition,
     report_for_rep,
     arthur_rep_from_partition,
@@ -98,18 +98,28 @@ def test_arthur_sweep_thread_determinism():
     assert seq.min_gap_upper == par.min_gap_upper
 
 
+def test_partition_rank_lookup_matches_the_enumeration():
+    for n in range(1, 31):
+        for rank, parts in enumerate(partition_tuples(n)):
+            assert next(verify._ranked_partitions((n, range(rank, rank + 1)))) == parts
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-def test_partition_jobs_cover_the_enumeration_in_order(threads):
+def test_partition_jobs_cover_the_enumeration_in_order(monkeypatch, threads):
+    jobs = []
+    monkeypatch.setattr(verify, "_map_chunks", lambda worker, js, threads: jobs.extend(js) or iter(()))
     for n in range(2, 41):
-        jobs = verify._partition_jobs(n, threads)
-        shipped = [parts for job in jobs for parts in verify._job_partitions(job)]
+        jobs.clear()
+        verify_uncertainty_arthur(n, threads=threads)
+        shipped = [parts for job in jobs for parts in verify._ranked_partitions(job)]
         assert shipped == list(partition_tuples(n))
-        assert sum(count for _, _, count in jobs) == partition_count(n)
+        assert all(key == n and type(ranks) is range for key, ranks in jobs)
+        assert [r for _, ranks in jobs for r in ranks] == list(range(partition_count(n)))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_partition_sweeps_ship_no_partitions(monkeypatch, threads):
-    # a job is (N, largest part, count): its worker enumerates the partitions
+    # a job is (N, a range of ranks): its worker enumerates the partitions
     shipped = []
     real = verify._map_chunks
 
@@ -130,11 +140,15 @@ def test_arthur_sweep_rejects_small_n():
 
 
 def test_sweeps_holding_every_partition_are_capped():
+    # p(61) = 1,121,505 partitions pass the case cap; so do those of any
+    # larger N, counted without building a partition or a full table row
     figure_csv = lambda n: write_figure_csv(n, io.StringIO())  # noqa: E731
     for sweep in (verify_uncertainty_arthur, figure_rows, figure_csv):
-        with pytest.raises(InputError) as err:
-            sweep(MAX_SWEEP_N + 1)
-        assert err.value.field == "N"
+        for n in (61, 100_000, 10**9):
+            with pytest.raises(InputError) as err:
+                sweep(n)
+            assert err.value.field == "N"
+            assert err.value.message == f"the sweep would check more than {MAX_SWEEP_CASES} cases"
 
 
 def test_block_scan_matches_per_cut_oracle():
@@ -257,9 +271,11 @@ def test_budgets_must_admit_a_case():
 
 
 def test_sweep_case_cap_is_the_partition_cap():
-    # the partition sweeps hold all p(N) partitions of N: MAX_SWEEP_N is the
-    # largest N whose partitions keep to the case cap
-    assert partition_count(MAX_SWEEP_N) <= MAX_SWEEP_CASES < partition_count(MAX_SWEEP_N + 1)
+    # the partition sweeps count p(N) against the case cap: N = 60 is the
+    # last N they accept
+    assert len(partition_ranks(60)) == partition_count(60) <= MAX_SWEEP_CASES
+    assert partition_count(61) > MAX_SWEEP_CASES
+    assert len(verify._partition_counts(10**9)) == 62  # rows m = 0..61
 
 
 def test_unitary_case_count_matches_the_enumeration():
