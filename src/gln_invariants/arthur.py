@@ -107,7 +107,7 @@ class UnitaryRep:
                 if twisted.get((rho, a, d, -x), 0) != mult:
                     raise InputError(
                         "summands",
-                        f"twisted summand {rho.id}[{a}][{d}] with x={x} must be "
+                        f"twisted summand {rho.id!r}[{a}][{d}] with x={x} must be "
                         f"paired with the opposite twist -x"
                     )
         object.__setattr__(self, "summands", ss)

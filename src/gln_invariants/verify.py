@@ -9,25 +9,25 @@ case, and the two classification routes to the GK-dimension, wavefront set
 and character are compared as exact equalities.  Floats appear only in CSV
 rendering columns.
 
-Every sweep cuts a list or range of its cases into chunks with ``_sweep``
-and maps a worker over them (a ``concurrent.futures`` process pool when
-``threads > 1``); a failed chunk raises ``SweepError``.  The partition sweeps
-(Arthur and figure) cut the ranks ``range(p(N))`` of the partitions of N, and
-each worker enumerates its own run of partitions from the one at its first
-rank, so the parent builds none.  Summaries merge as a monoid, so results
-are independent of the chunking.  Each failure row is
-the ``report_for_rep`` of its representation, the report ``glninv
-invariants`` prints, with a note naming the failed checks.  The figure's
-workers render their chunks' CSV rows from integers, grouped by
+Every sweep counts its cases first, rejects more than ``MAX_SWEEP_CASES``,
+and cuts them into chunks with ``_sweep``, mapping a worker over them (a
+``concurrent.futures`` process pool when ``threads > 1``); a failed chunk
+raises ``SweepError``.  The exhaustive sweeps cut the ranks ``range(count)``
+of their cases, and each worker enumerates its own run from the case at its
+first rank, so the parent builds none: the partitions of N (Arthur and
+figure), the unitarizable cases by weight profile and the consistency
+budget's summand multisets.  Only the random consistency sample is a list.
+Summaries merge as a monoid, so results are independent of the chunking.
+Each failure row is the ``report_for_rep`` of its representation, the report
+``glninv invariants`` prints, with a note naming the failed checks.  The
+figure's workers render their chunks' CSV rows from integers, grouped by
 GK-dimension; the parent writes the groups in increasing GK-dimension, chunk
 by chunk, which is the sorted row order without a comparison sort of the
 rows.
 
 A unitarizable or consistency case is a tuple of shared summand groups: group
 i (from 1) is one ``(dim, a, d, x_num, x_den)`` summand over the label rho{i},
-or a +/- twisted pair, and ``_rep_from_case`` builds it (or a partition).  Every
-sweep counts its cases first and rejects more than ``MAX_SWEEP_CASES`` before
-building one.
+or a +/- twisted pair, and ``_rep_from_case`` builds it (or a partition).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
@@ -49,12 +49,12 @@ from .rationals import InputError, check_positive_int, ratio_decimal
 from .segments import SupercuspidalLabel
 
 MAX_SWEEP_CASES = 1_000_000
-"""Most cases a sweep checks, counted before any is built.  The unitarizable
-and consistency sweeps hold all their cases in memory (``verify-unitary --N
-60 --max-summands 6`` would ask for 1,629,922,443), and the figure every
-rendered row; p(60) = 966,467 <= MAX_SWEEP_CASES < p(61), so the partition
-sweeps stop at N = 60 (``figure --N 60`` peaks near 240 MB).  The partition
-stream itself (``partition_tuples``) is not capped."""
+"""Most cases a sweep checks, counted before any is built (``verify-unitary
+--N 60 --max-summands 6`` would ask for 1,629,922,443).  Only the random
+consistency sample and the figure's rendered rows are held in memory; p(60)
+= 966,467 <= MAX_SWEEP_CASES < p(61), so the partition sweeps stop at N =
+60 (``figure --N 60`` peaks near 240 MB).  The partition stream itself
+(``partition_tuples``) is not capped."""
 
 MAX_INPUT_N = 100_000
 """Largest total dimension N of a representation: ``cli.parse_rep`` rejects
@@ -182,13 +182,13 @@ def report_for_arthur_partition(a: Partition | Iterable[int]) -> InvariantReport
 
 
 def _chunk_size(total: int, threads: int, floor: int) -> int:
-    per = math.ceil(total / max(1, 4 * threads))
-    return max(floor, per)
+    return max(floor, math.ceil(total / max(1, 4 * threads)))
 
 
 def _sweep(worker, key, cases: Sequence, threads: int, floor: int) -> Iterator:
     """``worker((key, chunk))``, in order, for ``cases`` (a list, or a range
     of case indices) cut into chunks of at least ``floor``, ~4 per thread."""
+    check_positive_int(threads, "threads")
     size = _chunk_size(len(cases), threads, floor)
     jobs = [(key, cases[start : start + size]) for start in range(0, len(cases), size)]
     return _map_chunks(worker, jobs, threads)
@@ -209,6 +209,7 @@ def _partition_counts(N: int) -> list[list[int]]:
 def partition_ranks(N: int) -> range:
     """``range(p(N))``, the ranks of the partitions of N in the order of
     ``partition_tuples``; InputError for N < 2 or p(N) > MAX_SWEEP_CASES."""
+    check_positive_int(N, "N")
     total = _partition_counts(N)[-1][-1]
     _check_case_count(total, "N")
     check_sweep_n(N)
@@ -280,7 +281,8 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
 
 
 def check_sweep_n(N: int) -> None:
-    """Reject an N below 2, or above MAX_INPUT_N, before any case is built."""
+    """Reject an N that is not an integer from 2 to MAX_INPUT_N, before any case."""
+    check_positive_int(N, "N")
     if N < 2:
         raise InputError("N", "must be at least 2")
     if N > MAX_INPUT_N:
@@ -458,70 +460,65 @@ def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
 # unitarizable uncertainty sweep
 
 
-def _unitary_groups(N: int, twist_grid: Sequence[Fraction]) -> list[tuple]:
+def _divisors(m: int) -> list[int]:
+    return sorted({a for b in range(1, math.isqrt(m) + 1) if m % b == 0 for a in (b, m // b)})
+
+
+def _unitary_profiles(N: int, twist_grid: Sequence[Fraction], max_summands: int) -> Iterator:
+    """(profile, its case count) for each weight profile of the unitarizable
+    cases, heaviest weight first: a tuple of (the summand groups of weight w,
+    j) for j >= 1 groups of each weight w, with sum j * w = N and sum j <=
+    max_summands.  A walk builds each weight's groups once, so its cases share
+    them; j of m groups make C(m + j - 1, j) multisets."""
     twists = [(y.numerator, y.denominator) for y in twist_grid]
-    groups = []
-    for a in range(1, N + 1):
-        for d in range(1, N // a + 1):
-            groups.append(((1, a, d, 0, 1),))
-            if 2 * a * d <= N:
-                for yn, yd in twists:
-                    groups.append(((1, a, d, yn, yd), (1, a, d, -yn, yd)))
-    return groups
+
+    @cache
+    def groups(w: int) -> list[tuple]:  # rho[a][w/a], and +/- rho[a][w/2a] per twist
+        return [((1, a, w // a, 0, 1),) for a in _divisors(w)] + [
+            ((1, a, w // 2 // a, yn, yd), (1, a, w // 2 // a, -yn, yd))
+            for a in (() if w % 2 else _divisors(w // 2)) for yn, yd in twists]
+
+    def walk(rest: int, k: int, top: int, profile: tuple, size: int) -> Iterator:
+        if rest == 0:
+            yield profile, size
+        elif k:  # at most k more groups, each of weight <= top; the heaviest has k * w >= rest
+            for w in range(min(top, rest), -(-rest // k) - 1, -1):
+                for j in range(1, min(k, rest // w) + 1):
+                    yield from walk(rest - j * w, k - j, w - 1, profile + ((groups(w), j),),
+                                    size * math.comb(len(groups(w)) + j - 1, j))
+
+    return walk(N, min(max_summands, N), N, (), 1)
 
 
-def _unitary_cases(N: int, twist_grid: Sequence[Fraction], max_summands: int) -> Iterator[tuple]:
-    groups = _unitary_groups(N, twist_grid)
-    weights = [_case_dim((group,)) for group in groups]
-
-    def rec(start: int, remaining: int, used: int, acc: list):
-        if remaining == 0:
-            yield tuple(acc)
-        elif used < max_summands:
-            for k in range(start, len(groups)):
-                if weights[k] <= remaining:
-                    acc.append(groups[k])
-                    yield from rec(k, remaining - weights[k], used + 1, acc)
-                    acc.pop()
-
-    yield from rec(0, N, 0, [])
+def _unitary_cases(N: int, twist_grid: Sequence[Fraction], max_summands: int,
+                   start: int = 0) -> Iterator[tuple]:
+    """The unitarizable cases from rank ``start`` on; the profiles before the
+    one holding that rank are skipped by their case counts."""
+    for profile, size in _unitary_profiles(N, twist_grid, max_summands):
+        if start < size:
+            combos = (itertools.combinations_with_replacement(groups, j) for groups, j in profile)
+            for combo in itertools.islice(itertools.product(*combos), start, None):
+                yield tuple(itertools.chain.from_iterable(combo))
+        start = max(0, start - size)
 
 
 def _unitary_case_count(N: int, twist_grid: Sequence[Fraction], max_summands: int) -> int:
     """How many cases ``_unitary_cases`` yields, or a number above
-    MAX_SWEEP_CASES once past it.  Counted by weights, heaviest first (a
-    weight taken j times from its m groups gives C(m + j - 1, j) multisets);
-    every weight up to N has a group, so each weight profile visited is a case.
-    The groups of weight w are read from divisor counts, not built: one per
-    a * d = w, and one per twist for each 2 * a * d = w."""
-
-    def divisors(m: int) -> int:
-        r = math.isqrt(m)
-        return 2 * sum(1 for a in range(1, r + 1) if m % a == 0) - (r * r == m)
-
-    def ways(w: int) -> int:
-        return divisors(w) + (len(twist_grid) * divisors(w // 2) if w % 2 == 0 else 0)
-
-    def count(rest: int, k: int, top: int) -> int:  # <= k groups, each of weight <= top
-        if rest == 0 or k == 0:
-            return int(rest == 0)
-        total = 0
-        for w in range(min(top, rest), -(-rest // k) - 1, -1):  # the heaviest has k * w >= rest
-            for j in range(1, min(k, rest // w) + 1):
-                total += math.comb(ways(w) + j - 1, j) * count(rest - j * w, k - j, w - 1)
-                if total > MAX_SWEEP_CASES:
-                    return total
-        return total
-
-    return count(N, min(max_summands, N), N)
+    MAX_SWEEP_CASES once past it."""
+    total = 0
+    for _, size in _unitary_profiles(N, twist_grid, max_summands):
+        if (total := total + size) > MAX_SWEEP_CASES:
+            break
+    return total
 
 
-def _unitary_chunk(job) -> SweepSummary:
-    """Judge each case by its ``report_for_rep``; Arthur-type cases also
-    cross-check the closed-form t against the report's scan."""
-    n, chunk = job
+def _unitary_chunk(twist_grid: Sequence[Fraction], max_summands: int, job) -> SweepSummary:
+    """Judge each case at the ranks of ``job`` by its ``report_for_rep``;
+    Arthur-type cases also cross-check the closed-form t against its scan."""
+    n, ranks = job
     failures, lows, ups = [], [], []
-    for case in chunk:
+    cases = _unitary_cases(n, twist_grid, max_summands, ranks.start)
+    for case in itertools.islice(cases, len(ranks)):
         pi = _rep_from_case(case)
         report = report_for_rep(pi)
         g, t, arthur_type = report.g, report.t, pi.is_arthur_type
@@ -538,7 +535,7 @@ def _unitary_chunk(job) -> SweepSummary:
         lows.append(t - g)
         ups.append(g - shifted * shifted)
     return SweepSummary(
-        N=n, count=len(chunk), failures=failures,
+        N=n, count=len(failures) + len(lows), failures=failures,
         min_gap_lower=min(lows, default=None), min_gap_upper=min(ups, default=None),
     )
 
@@ -563,9 +560,10 @@ def verify_uncertainty_unitary(
     for y in grid:
         if not 0 < y < Fraction(1, 2):
             raise InputError("twist_grid", f"values must lie strictly in (0, 1/2), got {y}")
-    _check_case_count(_unitary_case_count(N, grid, max_summands), "max_summands")
-    cases = list(_unitary_cases(N, grid, max_summands))
-    chunks = _sweep(_unitary_chunk, N, cases, threads, 200)
+    count = _unitary_case_count(N, grid, max_summands)
+    _check_case_count(count, "max_summands")
+    worker = partial(_unitary_chunk, tuple(grid), max_summands)
+    chunks = _sweep(worker, N, range(count), threads, 200)
     return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
 
 
@@ -647,8 +645,9 @@ def _consistency_random_chunk(job) -> SweepSummary:
 def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int) -> list[tuple]:
     rng = random.Random(seed)
     cases = []
-    for _ in range(2000 * max(1, random_cases)):
-        if len(cases) == random_cases:
+    for draw in range(2000 * max(1, random_cases)):
+        # give up at MAX_SWEEP_CASES draws under half the rate of one case in 2,000
+        if len(cases) == random_cases or draw == MAX_SWEEP_CASES and 4000 * len(cases) < draw:
             break
         slots = rng.randint(1, budget.max_summands)
         groups = []
@@ -686,7 +685,7 @@ def verify_consistency(
     twisted pairs.  A budget of more than MAX_SWEEP_CASES cases in all is
     rejected, naming ``max_summands`` when the exhaustive part alone exceeds it.
     """
-    if random_cases < 0:
+    if isinstance(random_cases, bool) or not isinstance(random_cases, int) or random_cases < 0:
         raise InputError("random_cases", "must be a non-negative integer")
     shapes = budget.max_dim * budget.max_a * budget.max_d
     total, term = 0, 1  # the multisets of 1..max_summands shapes, up to the cap

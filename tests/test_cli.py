@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -227,10 +228,14 @@ def test_half_integer_span_rejected(tmp_path, capsys):
 
 
 def test_unpaired_twist_rejected(tmp_path, capsys):
-    bad = {"summands": [{"rho": {"id": "r", "dim": 1}, "a": 1, "d": 2, "x": "1/4"}]}
-    path = write(tmp_path, "bad.json", bad)
-    assert main(["invariants", "--input", path]) == 2
-    assert "paired" in capsys.readouterr().err
+    # the label id is quoted, so one holding a newline keeps the error on one line
+    for label in ("r", "a\nb"):
+        bad = {"summands": [{"rho": {"id": label, "dim": 1}, "a": 1, "d": 2, "x": "1/4"}]}
+        path = write(tmp_path, "bad.json", bad)
+        assert main(["invariants", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: summands: twisted summand {label!r}[1][2] ")
+        assert "paired" in err and len(err.splitlines()) == 1
 
 
 def test_missing_field_named(tmp_path, capsys):
@@ -397,6 +402,18 @@ def test_sweep_at_n_100000_exits_2_at_once(command, field):
     assert run.stderr == f"error: {field}: the sweep would check more than {MAX_SWEEP_CASES} cases\n"
 
 
+def test_unitary_sweep_at_n_100000_with_one_summand_group():
+    # the 156 cases are the summand groups of weight 10^5, built from its
+    # divisors without listing the groups of any lighter weight
+    run = subprocess.run(
+        [sys.executable, "-m", "gln_invariants", "verify-unitary", "--N", "100000",
+         "--max-summands", "1", "--threads", "1"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == "checked 156 unitarizable cases, 0 failures"
+
+
 @pytest.mark.parametrize("n", [MAX_INPUT_N + 1, 10**9])
 def test_unitary_sweep_n_above_the_dimension_cap_rejected(n):
     # the summand groups grow as N log N and were built, twice, before the
@@ -467,15 +484,28 @@ def test_budget_above_the_case_cap_rejected(tmp_path, capsys, argv, field):
 
 
 def test_random_cases_the_dimension_cap_leaves_out_are_exit_2_naming_n(capsys):
-    # one of the 125,000 shapes has dimension 1, and 2,000 draws miss it
-    argv = ["verify-consistency", "--N", "1", "--max-summands", "1", "--max-dim", "50",
-            "--max-a", "50", "--max-d", "50", "--random-cases", "1", "--threads", "1"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: N: the total-dimension cap leaves too few admissible random cases\n"
-    )
+    # one of the 125,000 shapes has dimension 1: 2,000 draws miss it, and the
+    # default 10,000 cases stop after MAX_SWEEP_CASES draws, not 2,000 per case
+    # (20 million, about 80 s)
+    for random_cases in ("1", "10000"):
+        argv = ["verify-consistency", "--N", "1", "--max-summands", "1", "--max-dim", "50",
+                "--max-a", "50", "--max-d", "50", "--random-cases", random_cases,
+                "--threads", "1"]
+        began = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - began < 30
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: N: the total-dimension cap leaves too few admissible random cases\n"
+        )
+
+
+def test_random_cases_admitted_one_in_192_draws_are_all_found(capsys):
+    # the default budget at N = 1 admits 1 slot of dimension, a and d 1:
+    # 6,000 cases take 1,167,570 draws, more than MAX_SWEEP_CASES
+    assert main(["verify-consistency", "--N", "1", "--random-cases", "6000", "--threads", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "checked 6001 representations, 0 failures"
 
 
 @pytest.mark.parametrize(
@@ -485,7 +515,7 @@ def test_random_cases_the_dimension_cap_leaves_out_are_exit_2_naming_n(capsys):
             "shifted_decay",
             ["verify-unitary", "--N", "6"],
             109_827,
-            "0a687a7f2d3716c74d532b38bf3a23de122693916b1ddb5427f55e6c98e0554e",
+            "10418062b07852cf8413c2d9444a6886223e594e7cbab0b78d757110d39074e8",
         ),
         (
             "orbit_dim",

@@ -278,12 +278,42 @@ def test_sweep_case_cap_is_the_partition_cap():
     assert len(verify._partition_counts(10**9)) == 62  # rows m = 0..61
 
 
+def _oracle_unitary_cases(n, grid, max_summands):
+    """Depth-first search over every summand group of weight up to n, by
+    index: the multisets of groups of total weight n, at most max_summands."""
+    groups = []
+    for a in range(1, n + 1):
+        for d in range(1, n // a + 1):
+            groups.append(((1, a, d, 0, 1),))
+            if 2 * a * d <= n:
+                groups += [((1, a, d, y.numerator, y.denominator),
+                            (1, a, d, -y.numerator, y.denominator)) for y in grid]
+    weights = [verify._case_dim((group,)) for group in groups]
+
+    def rec(start, remaining, used, acc):
+        if remaining == 0:
+            yield tuple(acc)
+        elif used < max_summands:
+            for k in range(start, len(groups)):
+                if weights[k] <= remaining:
+                    yield from rec(k, remaining - weights[k], used + 1, acc + [groups[k]])
+
+    return rec(0, n, 0, [])
+
+
 def test_unitary_case_count_matches_the_enumeration():
     for grid in ([], [Fraction(k, 10) for k in (1, 2, 3, 4)]):
         for n in range(1, 17):
             for k in range(1, 5):
-                cases = sum(1 for _ in verify._unitary_cases(n, grid, k))
-                assert verify._unitary_case_count(n, grid, k) == cases, (grid, n, k)
+                oracle = Counter(tuple(sorted(c)) for c in _oracle_unitary_cases(n, grid, k))
+                cases = list(verify._unitary_cases(n, grid, k))
+                assert Counter(tuple(sorted(c)) for c in cases) == oracle, (grid, n, k)
+                assert verify._unitary_case_count(n, grid, k) == len(cases), (grid, n, k)
+                # a walk resumed at any rank continues the full walk
+                for start in range(0, len(cases), 7):
+                    rest = verify._unitary_cases(n, grid, k, start)
+                    assert next(rest) == cases[start] and next(rest, None) == (
+                        cases[start + 1] if start + 1 < len(cases) else None)
     grid = [Fraction(k, 10) for k in (1, 2, 3, 4)]
     assert verify._unitary_case_count(60, grid, 3) == 377_684
     # the count stops once it passes the cap: 1,629,922,443 cases at 6 groups
@@ -291,6 +321,27 @@ def test_unitary_case_count_matches_the_enumeration():
     with pytest.raises(InputError) as exc:
         verify_uncertainty_unitary(60, grid, max_summands=6)
     assert exc.value.field == "max_summands"
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_unitary_jobs_are_ranks_whose_cases_cover_the_walk(monkeypatch, threads):
+    # a job is (N, a range of ranks): its worker walks to its first case, so
+    # the parent builds none
+    shipped = []
+    monkeypatch.setattr(verify, "_map_chunks",
+                        lambda worker, jobs, threads: shipped.append((worker, jobs)) or iter(()))
+    grid = [Fraction(k, 10) for k in (1, 2, 3, 4)]
+    verify_uncertainty_unitary(12, grid, threads=threads)
+    [(worker, jobs)] = shipped
+    cases = list(verify._unitary_cases(12, grid, 3))
+    assert len(jobs) > 1 and all(key == 12 and type(ranks) is range for key, ranks in jobs)
+    assert [r for _, ranks in jobs for r in ranks] == list(range(len(cases)))
+    assert all(len(pickle.dumps(job)) < 100 for job in jobs)
+    checked = []
+    real = verify._rep_from_case
+    monkeypatch.setattr(verify, "_rep_from_case", lambda case: checked.append(case) or real(case))
+    assert sum(worker(job).count for job in jobs) == len(cases)
+    assert checked == cases
 
 
 def test_consistency_case_cap_counts_every_case_before_building_one(monkeypatch):
@@ -309,6 +360,31 @@ def test_consistency_case_cap_counts_every_case_before_building_one(monkeypatch)
         with pytest.raises(InputError) as exc:
             verify_consistency(budget, random_cases=random_cases)
         assert exc.value.field == field
+
+
+@pytest.mark.parametrize(
+    "sweep, field",
+    [
+        (lambda: verify_uncertainty_arthur(2.5), "N"),
+        (lambda: verify_uncertainty_arthur(True), "N"),
+        (lambda: verify_uncertainty_arthur("7"), "N"),
+        (lambda: figure_rows("7"), "N"),
+        (lambda: write_figure_csv("7", io.StringIO()), "N"),
+        (lambda: verify_uncertainty_unitary("7", []), "N"),
+        (lambda: verify_uncertainty_unitary(3.0, []), "N"),
+        (lambda: write_figure_csv(4.0, io.StringIO()), "N"),
+        (lambda: verify_consistency(random_cases=2.5), "random_cases"),
+        (lambda: verify_consistency(random_cases=True), "random_cases"),
+        (lambda: verify_uncertainty_arthur(6, threads=0), "threads"),
+        (lambda: verify_uncertainty_unitary(6, [], threads=-3), "threads"),
+        (lambda: verify_consistency(threads=2.5), "threads"),
+        (lambda: write_figure_csv(6, io.StringIO(), threads=True), "threads"),
+    ],
+)
+def test_sweep_arguments_are_checked_before_a_case_runs(sweep, field):
+    with pytest.raises(InputError) as exc:
+        sweep()
+    assert exc.value.field == field
 
 
 def test_cases_share_groups_of_integer_summands(monkeypatch):
