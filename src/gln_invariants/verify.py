@@ -12,13 +12,13 @@ rendering columns.
 Every sweep counts its cases first, rejects more than ``MAX_SWEEP_CASES``,
 and cuts them into chunks with ``_sweep``, mapping a worker over them (a
 ``concurrent.futures`` process pool when ``threads > 1``); a failed chunk
-raises ``SweepError``.  The exhaustive sweeps cut the ranks ``range(count)``
-of their cases, and each worker enumerates its own run from the case at its
-first rank, so the parent builds none: the partitions of N (Arthur and
-figure), the unitarizable cases by weight profile and the consistency
-budget's summand multisets.  Only the random consistency sample is a list.
-Summaries merge as a monoid, so results are independent of the chunking.
-Each failure row is the ``report_for_rep`` of its representation, the report
+raises ``SweepError``.  Every sweep cuts the ranks ``range(count)`` of its
+cases, and each worker enumerates its own run from the case at its first
+rank, so the parent builds none: the partitions of N (Arthur and figure),
+the unitarizable cases by weight profile, and the consistency budget's
+summand multisets followed by its seeded random sample, redrawn from the
+seed.  Summaries merge as a monoid, so results are independent of the
+chunking.  Each failure row is the ``report_for_rep`` of its representation, the report
 ``glninv invariants`` prints, with a note naming the failed checks.  The
 figure's workers render their chunks' CSV rows from integers, grouped by
 GK-dimension; the parent writes the groups in increasing GK-dimension, chunk
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -50,10 +51,10 @@ from .segments import SupercuspidalLabel
 
 MAX_SWEEP_CASES = 1_000_000
 """Most cases a sweep checks, counted before any is built (``verify-unitary
---N 60 --max-summands 6`` would ask for 1,629,922,443).  Only the random
-consistency sample and the figure's rendered rows are held in memory; p(60)
-= 966,467 <= MAX_SWEEP_CASES < p(61), so the partition sweeps stop at N =
-60 (``figure --N 60`` peaks near 240 MB).  The partition stream itself
+--N 60 --max-summands 6`` would ask for 1,629,922,443).  Only the figure's
+rendered rows are held in memory; p(60) = 966,467 <= MAX_SWEEP_CASES <
+p(61), so the partition sweeps stop at N = 60 (``figure --N 60`` peaks near
+240 MB).  The partition stream itself
 (``partition_tuples``) is not capped."""
 
 MAX_INPUT_N = 100_000
@@ -185,12 +186,12 @@ def _chunk_size(total: int, threads: int, floor: int) -> int:
     return max(floor, math.ceil(total / max(1, 4 * threads)))
 
 
-def _sweep(worker, key, cases: Sequence, threads: int, floor: int) -> Iterator:
-    """``worker((key, chunk))``, in order, for ``cases`` (a list, or a range
-    of case indices) cut into chunks of at least ``floor``, ~4 per thread."""
+def _sweep(worker, key, ranks: range, threads: int, floor: int) -> Iterator:
+    """``worker((key, chunk))``, in order, for the case ranks ``ranks`` cut into
+    ranges of at least ``floor``, ~4 per thread; a worker builds its cases."""
     check_positive_int(threads, "threads")
-    size = _chunk_size(len(cases), threads, floor)
-    jobs = [(key, cases[start : start + size]) for start in range(0, len(cases), size)]
+    size = _chunk_size(len(ranks), threads, floor)
+    jobs = [(key, ranks[start : start + size]) for start in range(0, len(ranks), size)]
     return _map_chunks(worker, jobs, threads)
 
 
@@ -234,12 +235,13 @@ def _ranked_partitions(job) -> Iterator[tuple[int, ...]]:
 
 
 def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
-    """``worker(job)`` for each job in order, in a process pool when there are
-    several threads and jobs; a failure raises SweepError naming the job."""
+    """``worker(job)`` for each job in order, in a pool of at most one process
+    per CPU when there are several threads and jobs; a failure raises
+    SweepError naming the job."""
     pool = None
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: only a pool needs it
-        pool = ProcessPoolExecutor(min(threads, len(jobs)))
+        pool = ProcessPoolExecutor(min(threads, len(jobs), os.cpu_count() or 1))
     done = 0
     try:
         for result in map(worker, jobs) if pool is None else pool.map(worker, jobs):
@@ -556,7 +558,7 @@ def verify_uncertainty_unitary(
     A budget of more than MAX_SWEEP_CASES cases is rejected."""
     check_sweep_n(N)
     check_positive_int(max_summands, "max_summands")
-    grid = [Fraction(y) for y in twist_grid]
+    grid = list(dict.fromkeys(Fraction(y) for y in twist_grid))  # 1/4 and 2/8: one twist
     for y in grid:
         if not 0 < y < Fraction(1, 2):
             raise InputError("twist_grid", f"values must lie strictly in (0, 1/2), got {y}")
@@ -618,36 +620,39 @@ def _consistency_failure(pi: UnitaryRep, notes: list[str]) -> InvariantReport:
     return replace(report_for_rep(pi), note="; ".join(notes))
 
 
-def _consistency_exhaustive_chunk(job) -> SweepSummary:
-    """Check the summand multisets within the budget at the range ``indices``."""
-    budget, indices = job
+def _consistency_exhaustive_chunk(random_cases: int, seed: int, job) -> SweepSummary:
+    """Check the cases at the ranks of ``job``: the summand multisets within the
+    budget, counted before the total-dimension filter, then the seeded sample."""
+    budget, ranks = job
     shapes = _consistency_shapes(budget)
-    combos = itertools.chain.from_iterable(
+    multisets = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(shapes, k)
         for k in range(1, budget.max_summands + 1)
     )
-    cases = list(filter(budget.admits, itertools.islice(combos, indices.start, indices.stop)))
+    stream = itertools.chain(multisets, _random_cases(budget, random_cases, seed))
+    cases = filter(budget.admits, itertools.islice(stream, ranks.start, ranks.stop))
     return _consistency_random_chunk((budget, cases))
 
 
 def _consistency_random_chunk(job) -> SweepSummary:
-    """Check each case of the list by both routes."""
+    """Check each case of the iterable by both routes."""
     budget, cases = job
-    failures = []
-    for case in cases:
+    failures, count = [], 0
+    for count, case in enumerate(cases, start=1):
         pi = _rep_from_case(case)
         notes = _check_consistency_rep(pi)
         if notes:
             failures.append(_consistency_failure(pi, notes))
-    return SweepSummary(N=budget.max_total_dim, count=len(cases), failures=failures)
+    return SweepSummary(N=budget.max_total_dim, count=count, failures=failures)
 
 
-def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int) -> list[tuple]:
+def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int) -> Iterator[tuple]:
+    """The seeded sample's admitted cases in draw order; InputError if too few."""
     rng = random.Random(seed)
-    cases = []
+    found = 0
     for draw in range(2000 * max(1, random_cases)):
         # give up at MAX_SWEEP_CASES draws under half the rate of one case in 2,000
-        if len(cases) == random_cases or draw == MAX_SWEEP_CASES and 4000 * len(cases) < draw:
+        if found == random_cases or draw == MAX_SWEEP_CASES and 4000 * found < draw:
             break
         slots = rng.randint(1, budget.max_summands)
         groups = []
@@ -664,10 +669,10 @@ def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int) -> li
                 slots -= 1
         case = tuple(groups)
         if budget.admits(case):
-            cases.append(case)
-    if len(cases) < random_cases:
+            found += 1
+            yield case
+    if found < random_cases:
         raise InputError("N", "the total-dimension cap leaves too few admissible random cases")
-    return cases
 
 
 def verify_consistency(
@@ -696,8 +701,8 @@ def verify_consistency(
             break
     _check_case_count(total, "max_summands")
     _check_case_count(total + random_cases, "random_cases")
-    n = budget.max_total_dim
-    exhaustive = _sweep(_consistency_exhaustive_chunk, budget, range(total), threads, 2000)
-    cases = _random_cases(budget, random_cases, seed)
-    sampled = _sweep(_consistency_random_chunk, budget, cases, threads, 500)
-    return reduce(SweepSummary.merge, itertools.chain(exhaustive, sampled), SweepSummary(N=n))
+    for _ in _random_cases(budget, random_cases, seed):  # raises before any check
+        pass
+    worker = partial(_consistency_exhaustive_chunk, random_cases, seed)
+    chunks = _sweep(worker, budget, range(total + random_cases), threads, 2000)
+    return reduce(SweepSummary.merge, chunks, SweepSummary(N=budget.max_total_dim))

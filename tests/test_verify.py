@@ -192,6 +192,14 @@ def test_unitary_sweep_examples():
         verify_uncertainty_unitary(4, [Fraction(0)])
 
 
+def test_repeated_twists_are_checked_once():
+    # 1/4 and 2/8 are one twist: a repeat adds no case
+    grids = ([Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(2, 8)])
+    summaries = [verify_uncertainty_unitary(4, grid) for grid in grids]
+    assert summaries[0].count == 16
+    assert all(summary == summaries[0] for summary in summaries)
+
+
 def test_unitary_sweep_small_grid():
     grid = [Fraction(k, 10) for k in (1, 2, 3, 4)]
     for n in range(2, 7):
@@ -344,6 +352,33 @@ def test_unitary_jobs_are_ranks_whose_cases_cover_the_walk(monkeypatch, threads)
     assert checked == cases
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+    # 1,029 cases at --threads 5000 make six chunks of the 200 floor; the
+    # stub pool starts no process and runs them inline
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, worker, jobs):
+            return map(worker, jobs)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    grid = [Fraction(k, 10) for k in (1, 2, 3, 4)]
+    summary = verify_uncertainty_unitary(10, grid, threads=5000)
+    assert sizes == [workers]
+    assert summary == verify_uncertainty_unitary(10, grid, threads=1)
+    assert summary.count == 1029
+
+
 def test_consistency_case_cap_counts_every_case_before_building_one(monkeypatch):
     monkeypatch.setattr(verify, "_sweep", lambda *args: iter(()))
     monkeypatch.setattr(verify, "_random_cases", lambda *args: [])
@@ -406,7 +441,7 @@ def test_cases_share_groups_of_integer_summands(monkeypatch):
         sweep()
         groups = [group for case in seen for group in case]
         assert len({id(group) for group in groups}) == len(set(groups)) < len(groups)
-    cases = seen + verify._random_cases(budget, 50, seed=2)
+    cases = seen + list(verify._random_cases(budget, 50, seed=2))
     for case in cases:
         for group in case:
             assert len(group) == 1 or (len(group) == 2 and group[0][3] == -group[1][3] > 0)
@@ -422,8 +457,8 @@ def test_consistency_thread_determinism():
 
 
 def test_consistency_over_several_chunks_is_thread_independent(monkeypatch):
-    # 24 shapes give 2,924 summand multisets of up to 3 summands: two
-    # exhaustive chunks at 1 and 2 threads, and 600 random cases two more
+    # 24 shapes give 2,924 summand multisets of up to 3 summands: with 600
+    # random cases after them, two chunks at 1 and 2 threads
     jobs = []
     real = verify._map_chunks
 
@@ -435,9 +470,53 @@ def test_consistency_over_several_chunks_is_thread_independent(monkeypatch):
     budget = ConsistencyBudget(max_summands=3, max_dim=2, max_a=3, max_d=4, max_total_dim=20)
     seq = verify_consistency(budget, random_cases=600, seed=5, threads=1)
     par = verify_consistency(budget, random_cases=600, seed=5, threads=2)
-    assert jobs == [2, 2, 2, 2]
+    assert jobs == [2, 2]
     assert (seq.count, seq.failures, seq.N) == (par.count, par.failures, par.N)
     assert seq.N == 20 and 600 < seq.count < 2924 + 600
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_consistency_jobs_are_ranks_of_one_stream(monkeypatch, threads):
+    # a job is (budget, a range of ranks): the summand multisets, then the
+    # random sample, which a worker redraws from the seed, so the parent
+    # ships no case
+    shipped = []
+    monkeypatch.setattr(verify, "_map_chunks",
+                        lambda worker, jobs, threads: shipped.append(jobs) or iter(()))
+    budget = ConsistencyBudget(max_summands=3, max_dim=2, max_a=3, max_d=4, max_total_dim=20)
+    verify_consistency(budget, random_cases=6000, seed=5, threads=threads)
+    [jobs] = shipped
+    assert len(jobs) > 1 and all(key == budget and type(ranks) is range for key, ranks in jobs)
+    assert [r for _, ranks in jobs for r in ranks] == list(range(2924 + 6000))
+    assert all(len(pickle.dumps(job)) < 200 for job in jobs)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_consistency_chunks_check_the_one_chunk_order(monkeypatch, chunk):
+    # 14 summand multisets, 10 of them within the cap, then 30 random cases:
+    # chunks that start inside the sample redraw it up to their first rank
+    checked = []
+    real = verify._rep_from_case
+    monkeypatch.setattr(verify, "_rep_from_case", lambda case: checked.append(case) or real(case))
+    budget = ConsistencyBudget(max_summands=2, max_dim=1, max_a=2, max_d=2, max_total_dim=4)
+    whole = verify_consistency(budget, random_cases=30, seed=4, threads=1)
+    one_chunk, checked[:] = list(checked), []
+    monkeypatch.setattr(verify, "_chunk_size", lambda total, threads, floor: chunk)
+    summary = verify_consistency(budget, random_cases=30, seed=4, threads=1)
+    assert checked == one_chunk and len(one_chunk) == whole.count == summary.count == 10 + 30
+    assert one_chunk[10:] == list(verify._random_cases(budget, 30, seed=4))
+
+
+def test_too_few_random_cases_raise_before_a_case_is_checked(monkeypatch):
+    # one of the 125,000 shapes is admitted, and 2,000 draws miss it
+    checked = []
+    monkeypatch.setattr(verify, "_check_consistency_rep", lambda pi: checked.append(pi) or [])
+    budget = ConsistencyBudget(max_summands=1, max_dim=50, max_a=50, max_d=50, max_total_dim=1)
+    for threads in (1, 2):
+        with pytest.raises(InputError) as exc:
+            verify_consistency(budget, random_cases=1, seed=0, threads=threads)
+        assert exc.value.field == "N"
+    assert checked == []
 
 
 def test_consistency_reports_a_gk_dimension_off_the_wavefront(monkeypatch):
