@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed input, 3 a verified statement failed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from typing import IO, Iterator, Optional, Union
 
 from .arthur import UnitaryRep
 from .bounds import fixed_vector_exponent, hch_coefficient_exponent, relative_exponents
-from .decay import decay_t
+from .decay import CharacterList, decay_t, expand_blocks
 from .partitions import partition_tuples
 from .rationals import InputError, check_positive_int, parse_rat, rat_decimal, rat_str
 from .segments import Multisegment
@@ -88,6 +89,12 @@ def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
     return {"num": x.numerator, "den": x.denominator, "decimal": rat_decimal(x)}
 
 
+def _character_json(xi: CharacterList) -> list[str]:
+    """The character's values as exact strings, non-increasing: each block
+    of ``xi.blocks`` is rendered once and repeated."""
+    return expand_blocks((rat_str(Fraction(v, xi.unit)), mult) for v, mult in xi.blocks)
+
+
 def _report_json(report: InvariantReport) -> dict:
     """The report as JSON, without its character."""
     t = report.t
@@ -110,7 +117,7 @@ def _unitary_invariants(pi: UnitaryRep) -> dict:
     data = _report_json(report)
     out = {"type": "unitarizable", "N": pi.N, "arthur_type": pi.is_arthur_type}
     out.update((key, data.pop(key)) for key in ("arthur_sl2", "wavefront", "d_gk"))
-    out["character"] = [rat_str(v) for v in report.character]
+    out["character"] = _character_json(report.character)
     out.update(data)
     return out
 
@@ -143,7 +150,7 @@ def _multisegment_invariants(m: Multisegment) -> dict:
             "hch_at_wavefront": _exponent_json(hch_coefficient_exponent(m, wavefront)),
         },
         "langlands_reading": {
-            "character": [rat_str(v) for v in xi],
+            "character": _character_json(xi),
             "is_tempered": m.is_tempered(),
             "t": _rat_json(decay_t(xi).t) if n >= 2 else None,
         },
@@ -160,6 +167,11 @@ def _flatten_csv(data: dict, out: IO[str], prefix: str = "") -> None:
             out.write(f"{path},{'+'.join(str(v) for v in value)}\n")
         else:
             out.write(f"{path},{value}\n")
+
+
+def _write_json(data, out: IO[str]) -> None:
+    """``data`` as an indented JSON document, in one write."""
+    out.write(json.dumps(data, indent=2) + "\n")
 
 
 def _summary_text(summary: SweepSummary, what: str) -> str:
@@ -189,8 +201,7 @@ def _summary_json(summary: SweepSummary) -> dict:
 
 def _emit_summary(summary: SweepSummary, what: str, args, out: IO[str]) -> int:
     if args.format == "json":
-        json.dump(_summary_json(summary), out, indent=2)
-        out.write("\n")
+        _write_json(_summary_json(summary), out)
     elif args.format == "csv":
         out.write("count,failures,min_gap_lower,min_gap_upper\n")
         out.write(
@@ -252,8 +263,7 @@ def _cmd_invariants(args) -> int:
         if args.format == "csv":
             _flatten_csv(data, out)
         else:
-            json.dump(data, out, indent=2)
-            out.write("\n")
+            _write_json(data, out)
     return EXIT_OK
 
 
@@ -266,8 +276,7 @@ def _cmd_dual(args) -> int:
             "general multisegment duality is not supported",
         )
     with _output(args) as out:
-        json.dump(rep.az_dual().to_json(), out, indent=2)
-        out.write("\n")
+        _write_json(rep.az_dual().to_json(), out)
     return EXIT_OK
 
 
@@ -335,7 +344,13 @@ def _cmd_partitions(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every caller,
+    so none may change it.  Each subcommand stores the name of its ``_cmd_*``
+    handler, not the function: ``main`` looks the name up at each call, so a
+    handler replaced in this module after the first call (a test's
+    monkeypatch, a tracing wrapper) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="glninv",
         description="Exact invariants of smooth irreducible representations of p-adic GL_N.",
@@ -359,15 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="invariants of a JSON-described representation")
     common(p, needs_input=True, threads=False)
-    p.set_defaults(func=_cmd_invariants)
+    p.set_defaults(handler="_cmd_invariants")
 
     p = sub.add_parser("dual", help="a <-> d duality swap of a unitarizable representation")
     common(p, needs_input=True, threads=False, formats=False)
-    p.set_defaults(func=_cmd_dual)
+    p.set_defaults(handler="_cmd_dual")
 
     p = sub.add_parser("verify-arthur", help="uncertainty sweep over all partitions of N")
     common(p, needs_n=True)
-    p.set_defaults(func=_cmd_verify_arthur)
+    p.set_defaults(handler="_cmd_verify_arthur")
 
     p = sub.add_parser("verify-unitary", help="uncertainty sweep over unitarizable shapes")
     common(p, needs_n=True)
@@ -377,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated twists strictly inside (0, 1/2)",
     )
     p.add_argument("--max-summands", type=int, default=3, help="summand-group budget")
-    p.set_defaults(func=_cmd_verify_unitary)
+    p.set_defaults(handler="_cmd_verify_unitary")
 
     p = sub.add_parser(
         "verify-consistency",
@@ -390,24 +405,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=int, default=4)
     p.add_argument("--random-cases", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_consistency)
+    p.set_defaults(handler="_cmd_verify_consistency")
 
     p = sub.add_parser("figure", help="bound-tightness dataset for all partitions of N")
     common(p, needs_n=True, formats=False)
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(handler="_cmd_figure")
 
     p = sub.add_parser("partitions", help="stream all partitions of N")
     common(p, needs_n=True, threads=False)
-    p.set_defaults(func=_cmd_partitions)
+    p.set_defaults(handler="_cmd_partitions")
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

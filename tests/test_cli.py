@@ -8,10 +8,14 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import gln_invariants
+from gln_invariants import cli
 from gln_invariants.cli import MAX_INPUT_N, main, parse_rep
 from gln_invariants.arthur import UnitaryRep
+from gln_invariants.decay import CharacterList
 from gln_invariants.partitions import partition_count
 from gln_invariants.segments import Multisegment
 from gln_invariants.verify import MAX_SWEEP_CASES
@@ -138,6 +142,24 @@ GOLDEN = {
         "0e286807953424e677aef5e4b73e71e44c65cc5c000be0f33f5cab2596918a7a",
         "965b5bd76a4e5b0cc816d763a580906225828a41aed5dec3c6c7c8ab6fcea794",
     ),
+    # at the N = 100,000 input cap: two characters of a few blocks (1.6 and
+    # 2.5 MB of JSON), and one of 100,000 distinct blocks
+    "cap_twisted_pair": (
+        {"summands": [{"rho": _rho("a"), "a": 25000, "d": 2, "x": "1/7"},
+                      {"rho": _rho("a"), "a": 25000, "d": 2, "x": "-1/7"}]},
+        "1f4794835a941d58cf98226d709b92321be774e49af6e94270c102c9ab8050f8",
+        "3ea1231073e8b30c70a13a8a8c083ee354ed2c2713c26dbda6d872ba5bc0f014",
+    ),
+    "cap_long_segment": (
+        {"segments": [{"rho": _rho("a"), "a": "1/3", "b": "299998/3"}]},
+        "887197854ef949f75ccc1227edaa23328895788ce104e17e58c696e3ba239778",
+        "504f64b60c832733b8336bd762f5e237473f6b70eb0dd762e4a1da2768e1ee9f",
+    ),
+    "cap_speh": (
+        {"summands": [{"rho": _rho("a"), "a": 1, "d": 100000, "x": "0"}]},
+        "f4436fc589d1433d025a5c149ff75318de5713409a86fec60e1474b2ce7f23fc",
+        "1fe5a345baa7f6834083ad3f9a0f7287b65d42b1352c9ffa7934f64991bab1e5",
+    ),
 }
 
 
@@ -148,6 +170,59 @@ def test_invariants_output_bytes_are_pinned(tmp_path, capsys, name):
     for fmt, sha in (("json", json_sha), ("csv", csv_sha)):
         assert main(["invariants", "--input", path, "--format", fmt]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha, fmt
+
+
+_character_values = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_character_values, min_size=1, max_size=12))
+def test_character_rendered_by_block_matches_rendering_each_value(values):
+    # the old rendering, one rat_str per value, is the oracle
+    xi = CharacterList(values)
+    assert cli._character_json(xi) == [cli.rat_str(v) for v in xi]
+
+
+def test_cached_parser_serves_every_call_as_a_fresh_process(tmp_path, capsys):
+    # one parser serves a rejected flag, a rejected input, both output formats
+    # and a sweep in turn; each call prints what a fresh process prints
+    good = write(tmp_path, "speh.json", SPEH)
+    bad = write(tmp_path, "bad.json", {"summands": [{"rho": _rho("r"), "a": 1}]})
+    calls = [
+        ["invariants", "--input", good, "--no-such-flag"],
+        ["invariants", "--input", bad],
+        ["invariants", "--input", good],
+        ["invariants", "--input", good, "--format", "csv"],
+        ["verify-arthur", "--N", "6"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gln_invariants", *argv],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=30,
+        )
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_command_handler_is_looked_up_at_each_call(tmp_path, capsys, monkeypatch):
+    # the cached parser names its handlers, so one replaced after the first
+    # call is the one the next call runs
+    path = write(tmp_path, "speh.json", SPEH)
+    assert main(["invariants", "--input", path]) == 0
+    first = capsys.readouterr().out
+    seen = []
+    real = cli._cmd_invariants
+    monkeypatch.setattr(cli, "_cmd_invariants", lambda args: seen.append(args) or real(args))
+    assert main(["invariants", "--input", path]) == 0
+    assert capsys.readouterr().out == first
+    assert [args.input for args in seen] == [path]
 
 
 def test_invariants_builds_the_character_once(tmp_path, monkeypatch):
