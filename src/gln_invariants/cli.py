@@ -222,8 +222,7 @@ def _emit_summary(summary: SweepSummary, what: str, args, out: IO[str]) -> int:
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        if args.threads < 1:
-            raise InputError("--threads", "must be a positive integer")
+        check_positive_int(args.threads, "--threads")
         return args.threads
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
@@ -231,8 +230,7 @@ def _resolve_threads(args) -> int:
             value = int(env)
         except ValueError:
             raise InputError(THREADS_ENV_VAR, f"not an integer: {env!r}") from None
-        if value < 1:
-            raise InputError(THREADS_ENV_VAR, "must be a positive integer")
+        check_positive_int(value, THREADS_ENV_VAR)
         return value
     return os.cpu_count() or 1
 

@@ -31,7 +31,7 @@ class Partition:
             check_positive_int(p, f"parts[{i}]")
         ps.sort(reverse=True)
         if not ps:
-            raise ValueError("partition must have at least one part")
+            raise InputError("parts", "must have at least one part")
         object.__setattr__(self, "parts", tuple(ps))
 
     @classmethod
@@ -128,8 +128,7 @@ def partition_tuples(n: int, start: Optional[Iterable[int]] = None) -> Iterator[
 
     With ``start`` (a partition of n, parts non-increasing), the tail of that
     order from ``start`` on."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_positive_int(n, "n")
     parts = [n] if start is None else list(start)
     ordered = all(type(p) is int and p > 0 for p in parts) and parts == sorted(parts)[::-1]
     if not ordered or sum(parts) != n:

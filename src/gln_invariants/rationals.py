@@ -61,12 +61,15 @@ def json_list(data, name: str, reader: Callable) -> list:
     return [read_at(f"{name}[{i}]", reader, item) for i, item in enumerate(items)]
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse an exact rational from 'p/q' or 'p' (optionally signed)."""
+def parse_rat(value: str | int | Fraction) -> Fraction:
+    """Read an exact rational: text 'p/q' or 'p' (optionally signed), an
+    ``int`` (not a ``bool``) or a ``Fraction``; a float is not exact."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
+        raise InputError("", f"not an exact rational: {value!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(value.strip() if isinstance(value, str) else value)
     except (ValueError, ZeroDivisionError):
-        raise InputError("", f"not an exact rational: {text!r}") from None
+        raise InputError("", f"not an exact rational: {value!r}") from None
 
 
 def rat_str(x: Fraction) -> str:

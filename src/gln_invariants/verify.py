@@ -2,28 +2,28 @@
 
 Every check here is an exact statement about rationals or partitions: g <= t
 and the upper bound of ``decay.shifted_decay`` (t^2 <= g for Arthur type,
-(t - 2/N)_+^2 <= g otherwise) are tested by ``report_for_rep``, and by integer
-cross-multiplication on the all-Arthur partition sweeps; the closed-form decay
-parameter is compared against the full prefix-sum scan on every Arthur-type
-case, and the two classification routes to the GK-dimension, wavefront set
-and character are compared as exact equalities.  Floats appear only in CSV
-rendering columns.
+(t - 2/N)_+^2 <= g otherwise) are tested by ``report_for_rep``, and in
+integers by ``_arthur_gaps`` on the all-Arthur partition sweeps; the
+closed-form decay parameter is compared against the full prefix-sum scan on
+every Arthur-type case, and the two classification routes to the
+GK-dimension, wavefront set and character are compared as exact equalities.
+Floats appear only in CSV rendering columns.
 
-Every sweep counts its cases first, rejects more than ``MAX_SWEEP_CASES``,
-and cuts them into chunks with ``_sweep``, mapping a worker over them (a
-``concurrent.futures`` process pool when ``threads > 1``); a failed chunk
-raises ``SweepError``.  Every sweep cuts the ranks ``range(count)`` of its
-cases, and each worker enumerates its own run from the case at its first
-rank, so the parent builds none: the partitions of N (Arthur and figure),
-the unitarizable cases by weight profile, and the consistency budget's
-summand multisets followed by its seeded random sample, redrawn from the
-seed.  Summaries merge as a monoid, so results are independent of the
-chunking.  Each failure row is the ``report_for_rep`` of its representation, the report
-``glninv invariants`` prints, with a note naming the failed checks.  The
-figure's workers render their chunks' CSV rows from integers, grouped by
-GK-dimension; the parent writes the groups in increasing GK-dimension, chunk
-by chunk, which is the sorted row order without a comparison sort of the
-rows.
+Every sweep counts its cases first with ``_case_count``, which rejects more
+than ``MAX_SWEEP_CASES``, and cuts them into chunks with ``_sweep``, mapping
+a worker over them (a ``concurrent.futures`` process pool when
+``threads > 1``); a failed chunk raises ``SweepError``.  Every sweep cuts
+the ranks ``range(count)`` of its cases, and each worker enumerates its own
+run from the case at its first rank, so the parent builds none: the
+partitions of N (Arthur and figure), the unitarizable cases by weight
+profile, and the consistency budget's summand multisets followed by its
+seeded random sample, redrawn from the seed.  Summaries merge as a monoid,
+so results are independent of the chunking.  Each failure row is the
+``report_for_rep`` of its representation, the report ``glninv invariants``
+prints, with a note naming the failed checks.  The figure's workers render
+their chunks' CSV rows from integers, grouped by GK-dimension; the parent
+writes the groups in increasing GK-dimension, chunk by chunk, which is the
+sorted row order without a comparison sort of the rows.
 
 A unitarizable or consistency case is a tuple of shared summand groups: group
 i (from 1) is one ``(dim, a, d, x_num, x_den)`` summand over the label rho{i},
@@ -46,7 +46,7 @@ from .decay import (
     CharacterList, _max_ratio_blocks, _partition_stats, decay_t, decay_t_arthur, shifted_decay
 )
 from .partitions import Partition, as_parts, dual_partition, orbit_dim, partition_tuples
-from .rationals import InputError, check_positive_int, ratio_decimal
+from .rationals import InputError, check_positive_int, parse_rat, ratio_decimal, read_at
 from .segments import SupercuspidalLabel
 
 MAX_SWEEP_CASES = 1_000_000
@@ -163,9 +163,15 @@ def _case_dim(case) -> int:
     return sum(dim * a * d for group in case for dim, a, d, _, _ in group)
 
 
-def _check_case_count(count: int, field: str) -> None:
-    if count > MAX_SWEEP_CASES:
-        raise InputError(field, f"the sweep would check more than {MAX_SWEEP_CASES} cases")
+def _case_count(sizes: Iterable[int], field: str) -> int:
+    """The total of a sweep's case counts ``sizes``; InputError naming
+    ``field`` at the first running total above MAX_SWEEP_CASES, so the rest of
+    ``sizes`` is never drawn."""
+    total = 0
+    for size in sizes:
+        if (total := total + size) > MAX_SWEEP_CASES:
+            raise InputError(field, f"the sweep would check more than {MAX_SWEEP_CASES} cases")
+    return total
 
 
 def arthur_rep_from_partition(a: Partition | Iterable[int]) -> UnitaryRep:
@@ -211,8 +217,7 @@ def partition_ranks(N: int) -> range:
     """``range(p(N))``, the ranks of the partitions of N in the order of
     ``partition_tuples``; InputError for N < 2 or p(N) > MAX_SWEEP_CASES."""
     check_positive_int(N, "N")
-    total = _partition_counts(N)[-1][-1]
-    _check_case_count(total, "N")
+    total = _case_count([_partition_counts(N)[-1][-1]], "N")
     check_sweep_n(N)
     return range(total)
 
@@ -293,9 +298,16 @@ def check_sweep_n(N: int) -> None:
         )
 
 
+def _arthur_gaps(n: int, s: int, tn: int, td: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """t - g and g - t^2, each an unreduced (num, den) with den > 0, for
+    g = s/(n(n-1)) and t = tn/td (td > 0): g <= t holds iff the first num is
+    >= 0, and t^2 <= g iff the second is."""
+    nn1 = n * (n - 1)
+    return (tn * nn1 - s * td, td * nn1), (s * td * td - tn * tn * nn1, nn1 * td * td)
+
+
 def _arthur_chunk(job) -> SweepSummary:
     n = job[0]
-    nn1 = n * (n - 1)
     failures = []
     checked = 0
     min_low = None  # (num, den) of t - g
@@ -304,19 +316,16 @@ def _arthur_chunk(job) -> SweepSummary:
         checked += 1
         s, _, tn, td = _partition_stats(parts, n)
         scan_n, scan_d = _scan_two_xi(parts, n)
+        low, up = _arthur_gaps(n, s, tn, td)
         notes = []
         if scan_n * td != tn * scan_d:
             notes.append("closed-form t differs from prefix-sum scan")
-        lower_ok = s * td <= tn * nn1
-        upper_ok = tn * tn * nn1 <= s * td * td
-        if notes or not lower_ok or not upper_ok:
+        if notes or low[0] < 0 or up[0] < 0:
             report = report_for_arthur_partition(parts)
-            failures.append(_failure_report(report, notes, lower_ok, upper_ok, "t^2 <= g"))
+            failures.append(_failure_report(report, notes, low[0] >= 0, up[0] >= 0, "t^2 <= g"))
             continue
-        low = (tn * nn1 - s * td, td * nn1)
         if min_low is None or low[0] * min_low[1] < min_low[0] * low[1]:
             min_low = low
-        up = (s * td * td - tn * tn * nn1, nn1 * td * td)
         if min_up is None or up[0] * min_up[1] < min_up[0] * up[1]:
             min_up = up
     return SweepSummary(
@@ -366,9 +375,9 @@ def _figure_columns(n: int, s: int, sq: int, tn: int, td: int) -> tuple[int, str
     """(d_GK, the CSV columns after the partition, whether both bounds hold)
     for a partition of n with the ``_partition_stats`` (s, sq, tn, td):
     g = s/(n(n-1)) and t = tn/td, each reduced by gcd."""
+    (low, _), (up, _) = _arthur_gaps(n, s, tn, td)
+    lower_ok, upper_ok = low >= 0, up >= 0
     nn1 = n * (n - 1)
-    lower_ok = s * td <= tn * nn1
-    upper_ok = tn * tn * nn1 <= s * td * td
     d_gk = (n * n - sq) // 2
     k = math.gcd(s, nn1)
     gn, gd = s // k, nn1 // k
@@ -504,16 +513,6 @@ def _unitary_cases(N: int, twist_grid: Sequence[Fraction], max_summands: int,
         start = max(0, start - size)
 
 
-def _unitary_case_count(N: int, twist_grid: Sequence[Fraction], max_summands: int) -> int:
-    """How many cases ``_unitary_cases`` yields, or a number above
-    MAX_SWEEP_CASES once past it."""
-    total = 0
-    for _, size in _unitary_profiles(N, twist_grid, max_summands):
-        if (total := total + size) > MAX_SWEEP_CASES:
-            break
-    return total
-
-
 def _unitary_chunk(twist_grid: Sequence[Fraction], max_summands: int, job) -> SweepSummary:
     """Judge each case at the ranks of ``job`` by its ``report_for_rep``;
     Arthur-type cases also cross-check the closed-form t against its scan."""
@@ -554,16 +553,17 @@ def verify_uncertainty_unitary(
     twisted cases.  The cases are all unitarizable shapes of total dimension
     N built from untwisted summands and +/- twisted pairs over dimension-1
     labels, with at most ``max_summands`` summand groups and twists drawn
-    from the grid; the Arthur-type ones also cross-check the closed-form t.
-    A budget of more than MAX_SWEEP_CASES cases is rejected."""
+    from the grid (``parse_rat`` values: no float); the Arthur-type ones also
+    cross-check the closed-form t.  A budget of more than MAX_SWEEP_CASES
+    cases is rejected."""
     check_sweep_n(N)
     check_positive_int(max_summands, "max_summands")
-    grid = list(dict.fromkeys(Fraction(y) for y in twist_grid))  # 1/4 and 2/8: one twist
+    grid = list(dict.fromkeys(read_at("twist_grid", parse_rat, y) for y in twist_grid))  # 2/8 = 1/4
     for y in grid:
         if not 0 < y < Fraction(1, 2):
             raise InputError("twist_grid", f"values must lie strictly in (0, 1/2), got {y}")
-    count = _unitary_case_count(N, grid, max_summands)
-    _check_case_count(count, "max_summands")
+    profiles = _unitary_profiles(N, grid, max_summands)
+    count = _case_count((size for _, size in profiles), "max_summands")
     worker = partial(_unitary_chunk, tuple(grid), max_summands)
     chunks = _sweep(worker, N, range(count), threads, 200)
     return reduce(SweepSummary.merge, chunks, SweepSummary(N=N))
@@ -693,14 +693,9 @@ def verify_consistency(
     if isinstance(random_cases, bool) or not isinstance(random_cases, int) or random_cases < 0:
         raise InputError("random_cases", "must be a non-negative integer")
     shapes = budget.max_dim * budget.max_a * budget.max_d
-    total, term = 0, 1  # the multisets of 1..max_summands shapes, up to the cap
-    for k in range(1, budget.max_summands + 1):
-        term = term * (shapes + k - 1) // k  # C(shapes + k - 1, k)
-        total += term
-        if total > MAX_SWEEP_CASES:
-            break
-    _check_case_count(total, "max_summands")
-    _check_case_count(total + random_cases, "random_cases")
+    multisets = (math.comb(shapes + k - 1, k) for k in range(1, budget.max_summands + 1))
+    total = _case_count(multisets, "max_summands")
+    _case_count([total, random_cases], "random_cases")
     for _ in _random_cases(budget, random_cases, seed):  # raises before any check
         pass
     worker = partial(_consistency_exhaustive_chunk, random_cases, seed)

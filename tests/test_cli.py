@@ -599,16 +599,37 @@ def test_random_cases_admitted_one_in_192_draws_are_all_found(capsys):
             51_952,
             "8db79d5cd568b09a482d7c0efe5e4309197b6396f635718f07d6e6542ad18d29",
         ),
+        (
+            "_partition_stats",
+            ["verify-arthur", "--N", "8"],
+            3_045,
+            "92c58acbb119fccc0bcf52505849f2f01e1e374780586aaa92ca25ec6562cd88",
+        ),
+        (
+            "_partition_stats",
+            ["verify-arthur", "--N", "30"],
+            4_562,
+            "26778f388e48dd44627ec8b659d37a5dc176a2372c8bb1c621da76fa57820ce3",
+        ),
     ],
 )
 def test_failing_sweep_output_bytes_are_pinned(monkeypatch, capsys, fault, argv, size, digest):
     # a wrong upper bound fails every unitarizable case, and an orbit
     # dimension off by 2 every consistency case, so the JSON pins each
-    # sweep's cases, their order and their failure rows
+    # sweep's cases, their order and their failure rows.  A sum of d(d - 1)
+    # one too small fails t^2 <= g on the partitions where it is tight and
+    # moves the least gaps of the rest off 0: 4 failures at N = 8, and at
+    # N = 30 three chunks whose least gaps merge
     from gln_invariants import verify
 
-    real = verify.orbit_dim
-    faults = {"shifted_decay": lambda t, n, arthur_type: t + 1, "orbit_dim": lambda p: real(p) + 2}
+    real_dim, real_stats = verify.orbit_dim, verify._partition_stats
+
+    def smaller_s(parts, n):
+        s, sq, tn, td = real_stats(parts, n)
+        return s - 1, sq, tn, td
+
+    faults = {"shifted_decay": lambda t, n, arthur_type: t + 1,
+              "orbit_dim": lambda p: real_dim(p) + 2, "_partition_stats": smaller_s}
     monkeypatch.setattr(verify, fault, faults[fault])
     assert main(argv + ["--format", "json", "--threads", "1"]) == 3
     out = capsys.readouterr().out.encode("utf-8")

@@ -134,6 +134,11 @@ def test_dual_reverses_dominance():
         (dominance_leq, ([3, -1], Partition([2])), "parts[1]"),
         (dominance_leq, (Partition([2]), [True, 1]), "parts[0]"),
         (arthur_rep_from_partition, ([2, "1"],), "parts[1]"),
+        (Partition, ([],), "parts"),
+        (lambda n: next(partition_tuples(n)), (True,), "n"),
+        (lambda n: next(partition_tuples(n)), (2.0,), "n"),
+        (lambda n: next(partition_tuples(n)), ("3",), "n"),
+        (lambda n: next(partition_tuples(n)), (0,), "n"),
     ],
 )
 def test_raw_parts_are_checked_like_a_partition(fn, args, field):

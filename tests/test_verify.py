@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import pickle
 from collections import Counter
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from gln_invariants.arthur import ArthurSummand, UnitaryRep
-from gln_invariants.decay import CharacterList, _max_ratio_scan, expand_blocks
+from gln_invariants.decay import CharacterList, _max_ratio_scan, expand_blocks, shifted_decay
 from gln_invariants.partitions import Partition, partition_count, partition_tuples
 from gln_invariants import verify
 from gln_invariants.rationals import InputError, rat_decimal
@@ -178,6 +179,32 @@ def test_upper_gap_vanishes_along_hook_family():
     assert gaps[-1] == 0
 
 
+def test_arthur_gaps_match_the_reports_fractions():
+    # the integer bounds of the Arthur sweep and the figure against the
+    # report's t and g and its upper bound through shifted_decay
+    for n in range(2, 21):
+        for parts in partition_tuples(n):
+            s, _, tn, td = verify._partition_stats(parts, n)
+            low, up = verify._arthur_gaps(n, s, tn, td)
+            report = report_for_arthur_partition(parts)
+            shifted = shifted_decay(report.t, n, True)
+            assert low[1] > 0 and up[1] > 0
+            assert Fraction(*low) == report.t - report.g, parts
+            assert Fraction(*up) == report.g - shifted * shifted, parts
+            assert (low[0] >= 0, up[0] >= 0) == (report.lower_ok, report.upper_ok)
+
+
+def test_case_count_stops_at_the_first_total_past_the_cap():
+    assert verify._case_count([], "f") == 0
+    assert verify._case_count([MAX_SWEEP_CASES - 1, 1], "f") == MAX_SWEEP_CASES
+    sizes = itertools.count()
+    with pytest.raises(InputError) as exc:
+        verify._case_count(sizes, "f")
+    assert exc.value.field == "f"
+    assert exc.value.message == f"the sweep would check more than {MAX_SWEEP_CASES} cases"
+    assert next(sizes) == 1415  # 0 + 1 + ... + 1414 = 1,000,405 is the first total past it
+
+
 def test_unitary_sweep_examples():
     grid = [Fraction(1, 4)]
     summary = verify_uncertainty_unitary(2, grid, max_summands=3)
@@ -193,8 +220,9 @@ def test_unitary_sweep_examples():
 
 
 def test_repeated_twists_are_checked_once():
-    # 1/4 and 2/8 are one twist: a repeat adds no case
-    grids = ([Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(2, 8)])
+    # 1/4 and 2/8 are one twist, given as a Fraction or as text: a repeat adds no case
+    grids = ([Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(2, 8)],
+             [" 1/4", "2/8"])
     summaries = [verify_uncertainty_unitary(4, grid) for grid in grids]
     assert summaries[0].count == 16
     assert all(summary == summaries[0] for summary in summaries)
@@ -316,16 +344,19 @@ def test_unitary_case_count_matches_the_enumeration():
                 oracle = Counter(tuple(sorted(c)) for c in _oracle_unitary_cases(n, grid, k))
                 cases = list(verify._unitary_cases(n, grid, k))
                 assert Counter(tuple(sorted(c)) for c in cases) == oracle, (grid, n, k)
-                assert verify._unitary_case_count(n, grid, k) == len(cases), (grid, n, k)
+                sizes = (size for _, size in verify._unitary_profiles(n, grid, k))
+                assert verify._case_count(sizes, "f") == len(cases), (grid, n, k)
                 # a walk resumed at any rank continues the full walk
                 for start in range(0, len(cases), 7):
                     rest = verify._unitary_cases(n, grid, k, start)
                     assert next(rest) == cases[start] and next(rest, None) == (
                         cases[start + 1] if start + 1 < len(cases) else None)
     grid = [Fraction(k, 10) for k in (1, 2, 3, 4)]
-    assert verify._unitary_case_count(60, grid, 3) == 377_684
+    sizes = (size for _, size in verify._unitary_profiles(60, grid, 3))
+    assert verify._case_count(sizes, "f") == 377_684
     # the count stops once it passes the cap: 1,629,922,443 cases at 6 groups
-    assert MAX_SWEEP_CASES < verify._unitary_case_count(60, grid, 6) < 2 * MAX_SWEEP_CASES
+    with pytest.raises(InputError):
+        verify._case_count((size for _, size in verify._unitary_profiles(60, grid, 6)), "f")
     with pytest.raises(InputError) as exc:
         verify_uncertainty_unitary(60, grid, max_summands=6)
     assert exc.value.field == "max_summands"
@@ -414,6 +445,10 @@ def test_consistency_case_cap_counts_every_case_before_building_one(monkeypatch)
         (lambda: verify_uncertainty_unitary(6, [], threads=-3), "threads"),
         (lambda: verify_consistency(threads=2.5), "threads"),
         (lambda: write_figure_csv(6, io.StringIO(), threads=True), "threads"),
+        (lambda: verify_uncertainty_unitary(6, ["abc"]), "twist_grid"),
+        (lambda: verify_uncertainty_unitary(6, [None]), "twist_grid"),
+        (lambda: verify_uncertainty_unitary(6, [0.1]), "twist_grid"),
+        (lambda: verify_uncertainty_unitary(6, [True]), "twist_grid"),
     ],
 )
 def test_sweep_arguments_are_checked_before_a_case_runs(sweep, field):
