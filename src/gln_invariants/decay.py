@@ -10,11 +10,10 @@ cross-checked in the test suite, never trusted alone.
 
 A character has one form, :class:`CharacterList`: integer run-length blocks
 over one common denominator.  The scans read those integers; ``Fraction`` is
-built only where a value leaves the API.  Two scans take the same exact
-maximum over every cut: ``_max_ratio_scan`` visits each cut and also returns
-the maximizers (``decay_t``), and ``_max_ratio_blocks`` visits at most the
-two end cuts of each constant block, on which the ratio is convex or
-decreasing (the Arthur sweep's cross-check).
+built only where a value leaves the API.  ``_max_ratio_scan`` takes the
+exact maximum over every cut and returns the maximizers (``decay_t``); the
+Arthur sweep's cross-check, ``verify._scan_two_xi``, reads the same maximum
+from the end cuts of the character's non-negative blocks.
 """
 
 from __future__ import annotations
@@ -155,49 +154,6 @@ def _max_ratio_scan(scaled: Sequence[int], unit: int) -> tuple[int, int, list[in
         elif num * best_d == best_n * den:
             maximizers.append(i)
     return best_n, best_d, maximizers
-
-
-def _max_ratio_blocks(blocks: Sequence[tuple[int, int]], unit: int) -> tuple[int, int]:
-    """Exact maximum of 2*sigma_i/(unit*i*(n-i)) over every cut 1 <= i <= n-1
-    of the run-length ``blocks`` (value * unit, multiplicity), values
-    decreasing and every multiplicity positive, as in ``CharacterList.blocks``.
-    Returns an unreduced (numerator, denominator) pair; (0, 0) when n < 2,
-    as ``_max_ratio_scan``.
-
-    On a block that follows cut i0, sigma_i = alpha + v*i with
-    alpha = sigma_{i0} - v*i0, so, as 1/(i(n-i)) = (1/i + 1/(n-i))/n, the
-    ratio is proportional to alpha/i + beta/(n-i), where beta = alpha + v*n.
-    Decreasing values make alpha the sum of the earlier entries' excess over
-    v, so alpha >= 0: the ratio is convex on the block when beta >= 0 and
-    decreasing when beta < 0.  Its maximum is therefore at the block's first
-    cut, or at its last cut when beta >= 0 (checked in integers), and only
-    those cuts are compared.
-    """
-    n = 0
-    for _, mult in blocks:
-        n += mult
-    if n < 2:
-        return 0, 0
-    best_s, best_w = blocks[0][0], n - 1  # cut 1 seeds the maximum
-    i = sigma = 0  # the cut before the block and its prefix sum
-    for v, mult in blocks:
-        j = i + 1
-        if j < n:
-            s = sigma + v
-            w = j * (n - j)
-            if s * best_w > best_s * w:
-                best_s, best_w = s, w
-        if mult > 1 and sigma + v * (n - i) >= 0:  # beta >= 0
-            j = i + mult
-            if j == n:
-                j -= 1
-            s = sigma + v * (j - i)
-            w = j * (n - j)
-            if s * best_w > best_s * w:
-                best_s, best_w = s, w
-        i += mult
-        sigma += v * mult
-    return 2 * best_s, unit * best_w
 
 
 def decay_t(xi: CharacterList | Sequence[Fraction | int]) -> DecayResult:

@@ -127,12 +127,19 @@ def partition_tuples(n: int, start: Optional[Iterable[int]] = None) -> Iterator[
     order: (n,) first, (1,...,1) last.  Each partition appears exactly once.
 
     With ``start`` (a partition of n, parts non-increasing), the tail of that
-    order from ``start`` on."""
+    order from ``start`` on.  The arguments are checked at the call, before
+    the first partition is asked for."""
     check_positive_int(n, "n")
     parts = [n] if start is None else list(start)
     ordered = all(type(p) is int and p > 0 for p in parts) and parts == sorted(parts)[::-1]
     if not ordered or sum(parts) != n:
         raise InputError("start", f"must be a partition of {n}, parts non-increasing")
+    return _partitions_from(parts)
+
+
+def _partitions_from(parts: list[int]) -> Iterator[tuple[int, ...]]:
+    """``parts`` (a checked partition, changed in place) and every partition
+    after it in reverse-lexicographic order."""
     while True:
         yield tuple(parts)
         i = len(parts) - 1

@@ -4,9 +4,12 @@ Every check here is an exact statement about rationals or partitions: g <= t
 and the upper bound of ``decay.shifted_decay`` (t^2 <= g for Arthur type,
 (t - 2/N)_+^2 <= g otherwise) are tested by ``report_for_rep``, and in
 integers by ``_arthur_gaps`` on the all-Arthur partition sweeps; the
-closed-form decay parameter is compared against the full prefix-sum scan on
-every Arthur-type case, and the two classification routes to the
-GK-dimension, wavefront set and character are compared as exact equalities.
+closed-form decay parameter is compared against the exact maximum over every
+cut on every Arthur-type case (``_scan_two_xi``, which scans the cuts up to
+(N + e[1])/2, e[1] the multiplicity of 0: the character is negation-symmetric
+and sums to 0, so sigma_{N-i} = sigma_i and the later cuts mirror earlier
+ones), and the two classification routes to the GK-dimension, wavefront set
+and character are compared as exact equalities.
 Floats appear only in CSV rendering columns.
 
 Every sweep counts its cases first with ``_case_count``, which rejects more
@@ -42,9 +45,7 @@ from functools import cache, partial, reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
-from .decay import (
-    CharacterList, _max_ratio_blocks, _partition_stats, decay_t, decay_t_arthur, shifted_decay
-)
+from .decay import CharacterList, _partition_stats, decay_t, decay_t_arthur, shifted_decay
 from .partitions import Partition, as_parts, dual_partition, orbit_dim, partition_tuples
 from .rationals import InputError, check_positive_int, parse_rat, ratio_decimal, read_at
 from .segments import SupercuspidalLabel
@@ -267,24 +268,52 @@ def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
 
 
 def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
-    """Full prefix-sum scan of the character attached to a partition of n
-    (parts non-increasing): each part d gives the doubled entries d-1, d-3,
-    ..., 1-d.  Their run-length blocks at unit 2 are built in O(d1), d1 the
-    greatest part, and ``decay._max_ratio_blocks`` takes the exact maximum
-    over every cut, comparing at most the two end cuts of each block, on
-    which the ratio is convex or decreasing.  Returns the unreduced
-    (num, den) of the maximum ratio, the value decay_t gives."""
+    """Exact maximum of 2*sigma_i/(2*i*(n-i)) over every cut 1 <= i <= n-1
+    of the character attached to a partition of n (parts non-increasing):
+    each part d gives the doubled entries d-1, d-3, ..., 1-d.  Returns the
+    unreduced (num, den) of the maximum ratio, the value decay_t gives, with
+    den > 0 when n >= 2.
+
+    The doubled value k-1 >= 0 has multiplicity e[k], the number of parts
+    k, k+2, k+4, ..., carried down from k = d1 (the greatest part) in one
+    pass.  The character is negation-symmetric and sums to 0, so
+    sigma_{n-i} = sigma_i: the cuts past (n + e[1])/2 >= n/2, the end of the
+    zero block, mirror earlier ones, and only the non-negative blocks are
+    scanned.  On a block after cut i0, sigma_i = alpha + v*i with
+    alpha = sigma_{i0} - v*i0 >= 0 and the ratio is proportional to
+    alpha/i + beta/(n-i), beta = alpha + v*n >= 0 as v >= 0: convex, so its
+    maximum over the block is at the block's first or last cut, and only
+    those are compared, in integers."""
     d1 = a_parts[0]
-    # after the suffix sums, e[k] counts the parts k, k+2, k+4, ...: the
-    # multiplicity of the doubled values k-1 and 1-k
-    e = [0] * (d1 + 2)
+    c = [0] * (d1 + 1)
     for d in a_parts:
-        e[d] += 1
-    for k in reversed(range(1, d1)):
-        e[k] += e[k + 2]
-    top = [(k - 1, e[k]) for k in range(d1, 1, -1) if e[k]]
-    middle = [(0, e[1])] if e[1] else []
-    return _max_ratio_blocks(top + middle + [(-v, mult) for v, mult in reversed(top)], 2)
+        c[d] += 1
+    best_s, best_w = d1 - 1, n - 1  # cut 1, the first block's first cut
+    i = sigma = 0  # the cut before the block and its prefix sum
+    above = above2 = 0  # e[k+1] and e[k+2]
+    for k in range(d1, 0, -1):
+        mult = c[k] + above2  # e[k]
+        above, above2 = mult, above
+        if not mult:
+            continue
+        v = k - 1
+        if i:  # the first block's first cut is the seed
+            j = i + 1
+            s = sigma + v
+            w = j * (n - j)
+            if s * best_w > best_s * w:
+                best_s, best_w = s, w
+        if mult > 1:
+            j = i + mult
+            if j == n:  # the all-zero character [1^n]
+                j -= 1
+            s = sigma + v * (j - i)
+            w = j * (n - j)
+            if s * best_w > best_s * w:
+                best_s, best_w = s, w
+        i += mult
+        sigma += v * mult
+    return 2 * best_s, 2 * best_w
 
 
 def check_sweep_n(N: int) -> None:

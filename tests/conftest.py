@@ -70,3 +70,63 @@ def unitary_reps(draw):
             summands.append(ArthurSummand(rho, a, d, x))
             summands.append(ArthurSummand(rho, a, d, -x))
     return UnitaryRep(summands)
+
+
+def max_ratio_blocks(blocks, unit):
+    """Exact maximum of 2*sigma_i/(unit*i*(n-i)) over every cut 1 <= i <= n-1
+    of the run-length ``blocks`` (value * unit, multiplicity), values
+    decreasing and every multiplicity positive, as in ``CharacterList.blocks``.
+    Returns an unreduced (numerator, denominator) pair; (0, 0) when n < 2,
+    as ``decay._max_ratio_scan``.  The oracle of ``verify._scan_two_xi``,
+    which scans only the non-negative half of a symmetric character.
+
+    On a block that follows cut i0, sigma_i = alpha + v*i with
+    alpha = sigma_{i0} - v*i0, so, as 1/(i(n-i)) = (1/i + 1/(n-i))/n, the
+    ratio is proportional to alpha/i + beta/(n-i), where beta = alpha + v*n.
+    Decreasing values make alpha the sum of the earlier entries' excess over
+    v, so alpha >= 0: the ratio is convex on the block when beta >= 0 and
+    decreasing when beta < 0.  Its maximum is therefore at the block's first
+    cut, or at its last cut when beta >= 0 (checked in integers), and only
+    those cuts are compared.
+    """
+    n = 0
+    for _, mult in blocks:
+        n += mult
+    if n < 2:
+        return 0, 0
+    best_s, best_w = blocks[0][0], n - 1  # cut 1 seeds the maximum
+    i = sigma = 0  # the cut before the block and its prefix sum
+    for v, mult in blocks:
+        j = i + 1
+        if j < n:
+            s = sigma + v
+            w = j * (n - j)
+            if s * best_w > best_s * w:
+                best_s, best_w = s, w
+        if mult > 1 and sigma + v * (n - i) >= 0:  # beta >= 0
+            j = i + mult
+            if j == n:
+                j -= 1
+            s = sigma + v * (j - i)
+            w = j * (n - j)
+            if s * best_w > best_s * w:
+                best_s, best_w = s, w
+        i += mult
+        sigma += v * mult
+    return 2 * best_s, unit * best_w
+
+
+def doubled_blocks(parts):
+    """The run-length blocks (value, multiplicity), values decreasing, of the
+    doubled character of a partition (parts non-increasing): each part d
+    gives the entries d-1, d-3, ..., 1-d.  After the suffix sums, e[k] counts
+    the parts k, k+2, k+4, ...: the multiplicity of the values k-1 and 1-k."""
+    d1 = parts[0]
+    e = [0] * (d1 + 2)
+    for d in parts:
+        e[d] += 1
+    for k in reversed(range(1, d1)):
+        e[k] += e[k + 2]
+    top = [(k - 1, e[k]) for k in range(d1, 1, -1) if e[k]]
+    middle = [(0, e[1])] if e[1] else []
+    return top + middle + [(-v, mult) for v, mult in reversed(top)]

@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 
 from gln_invariants.decay import (
     CharacterList,
-    _max_ratio_blocks,
     _max_ratio_scan,
     decay_t,
     decay_t_arthur,
@@ -19,7 +18,7 @@ from gln_invariants.cli import _report_json
 from gln_invariants.partitions import Partition, partition_tuples
 from gln_invariants.verify import arthur_rep_from_partition, report_for_arthur_partition
 
-from conftest import unitary_reps
+from conftest import max_ratio_blocks, unitary_reps
 
 H = Fraction(1, 2)
 
@@ -132,7 +131,7 @@ def ratio_blocks(draw):
 @given(ratio_blocks())
 def test_max_ratio_blocks_matches_per_cut_scan(case):
     blocks, unit = case
-    num, den = _max_ratio_blocks(blocks, unit)
+    num, den = max_ratio_blocks(blocks, unit)
     scan_num, scan_den, _ = _max_ratio_scan(expand_blocks(blocks), unit)
     if scan_den == 0:  # fewer than two entries: no cut
         assert (num, den) == (0, 0)
@@ -144,7 +143,7 @@ def test_max_ratio_blocks_decreasing_block_example():
     # values 1, -5, -5, -5: on the second block alpha = 6 but beta = 6 - 5*4 < 0,
     # so the ratio decreases there and its last cut is not compared; the
     # maximum is at cut 1
-    num, den = _max_ratio_blocks([(1, 1), (-5, 3)], 1)
+    num, den = max_ratio_blocks([(1, 1), (-5, 3)], 1)
     assert Fraction(num, den) == Fraction(2, 3)
 
 

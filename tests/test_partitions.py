@@ -139,6 +139,11 @@ def test_dual_reverses_dominance():
         (lambda n: next(partition_tuples(n)), (2.0,), "n"),
         (lambda n: next(partition_tuples(n)), ("3",), "n"),
         (lambda n: next(partition_tuples(n)), (0,), "n"),
+        # checked at the call, before the first partition is asked for
+        (partition_tuples, (0,), "n"),
+        (partition_tuples, (2.0,), "n"),
+        (partition_tuples, (True,), "n"),
+        (partition_tuples, (5, [9]), "start"),
     ],
 )
 def test_raw_parts_are_checked_like_a_partition(fn, args, field):

@@ -8,6 +8,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 from gln_invariants.arthur import ArthurSummand, UnitaryRep
 from gln_invariants.decay import CharacterList, _max_ratio_scan, expand_blocks, shifted_decay
@@ -15,7 +17,10 @@ from gln_invariants.partitions import Partition, partition_count, partition_tupl
 from gln_invariants import verify
 from gln_invariants.rationals import InputError, rat_decimal
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
+
+from conftest import doubled_blocks, max_ratio_blocks
 from gln_invariants.verify import (
+    MAX_INPUT_N,
     MAX_SWEEP_CASES,
     ConsistencyBudget,
     FIGURE_CSV_HEADER,
@@ -165,6 +170,44 @@ def test_block_scan_matches_per_cut_oracle():
             num, den, _ = _max_ratio_scan(expand_blocks(blocks), 2)
             scan_num, scan_den = _scan_two_xi(parts, n)
             assert scan_num * den == num * scan_den, parts
+
+
+def assert_half_range_scan_is_exact(parts):
+    # the half-range scan against the block scan of the full mirrored
+    # character, and against the closed form t = (d1 - 1)/(n - a1)
+    n = sum(parts)
+    num, den = _scan_two_xi(parts, n)
+    full_num, full_den = max_ratio_blocks(doubled_blocks(parts), 2)
+    _, _, tn, td = verify._partition_stats(parts, n)
+    assert den > 0, parts
+    assert num * full_den == full_num * den, parts
+    assert num * td == tn * den, parts
+
+
+def test_half_range_scan_matches_the_full_block_scan():
+    for n in range(2, 37):
+        for parts in partition_tuples(n):
+            assert_half_range_scan_is_exact(parts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, MAX_INPUT_N])
+def test_half_range_scan_on_edge_shapes(n):
+    # [N] (t = 1), [1^N] (the all-zero character, t = 0), the two hooks next
+    # to them and, for even N, the two-row [N/2, N/2] with no zero entry
+    shapes = [(n,), (1,) * n, (n - 1, 1), (2,) + (1,) * (n - 2)]
+    if n % 2 == 0:
+        shapes.append((n // 2, n // 2))
+    for parts in shapes:
+        assert_half_range_scan_is_exact(tuple(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(1, 10**4), st.integers(1, 100), min_size=1, max_size=12))
+def test_half_range_scan_on_large_parts(multiplicities):
+    # up to 12 distinct parts as large as 10^4, beyond the exhaustive range
+    parts = tuple(d for d in sorted(multiplicities, reverse=True) for _ in range(multiplicities[d]))
+    assume(sum(parts) >= 2)
+    assert_half_range_scan_is_exact(parts)
 
 
 def test_upper_gap_vanishes_along_hook_family():
