@@ -27,7 +27,7 @@ from .rationals import (
     rat_str,
     read_at,
 )
-from .segments import Multisegment, Segment, SupercuspidalLabel
+from .segments import Multisegment, Segment, SupercuspidalLabel, check_label_dims
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +44,7 @@ class ArthurSummand:
         check_positive_int(self.a, "a")
         check_positive_int(self.d, "d")
         if type(self.x) is not Fraction:
-            object.__setattr__(self, "x", Fraction(self.x))
+            object.__setattr__(self, "x", read_at("x", parse_rat, self.x))
         if 2 * abs(self.x.numerator) >= self.x.denominator:
             raise InputError(
                 "x",
@@ -67,12 +67,8 @@ class ArthurSummand:
     @classmethod
     def from_json(cls, data) -> "ArthurSummand":
         rho, a, d = json_fields(data, "rho", "a", "d")
-        return cls(
-            read_at("rho", SupercuspidalLabel.from_json, rho),
-            a,
-            d,
-            read_at("x", parse_rat, str(data.get("x", "0"))),
-        )
+        rho = read_at("rho", SupercuspidalLabel.from_json, rho)
+        return cls(rho, a, d, str(data.get("x", "0")))
 
 
 def _summand_sort_key(s: ArthurSummand):
@@ -95,12 +91,7 @@ class UnitaryRep:
         ss = tuple(sorted(summands, key=_summand_sort_key))
         if not ss:
             raise InputError("summands", "representation needs at least one summand")
-        dims = {}
-        for s in ss:
-            if dims.setdefault(s.rho.id, s.rho.dim) != s.rho.dim:
-                raise InputError(
-                    "summands", f"label {s.rho.id!r} used with inconsistent dimensions"
-                )
+        check_label_dims(ss, "summands")
         if _check_pairing:
             twisted = Counter((s.rho, s.a, s.d, s.x) for s in ss if s.x != 0)
             for (rho, a, d, x), mult in twisted.items():

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .decay import shifted_decay
-from .partitions import Partition, orbit_dim
-from .rationals import InputError, check_positive_int
+from .partitions import Partition, as_parts, orbit_dim
+from .rationals import InputError, check_positive_int, parse_rat, read_at
 from .segments import Multisegment
 
 
@@ -90,16 +90,22 @@ def relative_exponents(m: Multisegment) -> tuple[BoundExponent, BoundExponent]:
     )
 
 
-def hch_coefficient_exponent(m: Multisegment, orbit: Partition) -> BoundExponent:
-    """Character-expansion coefficient exponent at the given orbit:
-    d_GK minus half the orbit dimension, with epsilon slack.  Negative values
-    are returned as-is (they signal a vanishing rate)."""
-    if orbit.n != m.total_dim:
-        raise ValueError(
-            f"orbit partition sums to {orbit.n}, expected {m.total_dim}"
-        )
+def _half_orbit_dim(orbit: Partition | Iterable[int], n: int) -> Fraction:
+    """Half the dimension of the orbit, a partition of n in any form
+    ``as_parts`` reads."""
+    parts = as_parts(orbit)
+    if sum(parts) != n:
+        raise ValueError(f"orbit partition sums to {sum(parts)}, expected {n}")
+    return Fraction(orbit_dim(Partition._from_sorted(parts)), 2)
+
+
+def hch_coefficient_exponent(m: Multisegment, orbit: Partition | Iterable[int]) -> BoundExponent:
+    """Character-expansion coefficient exponent at the given orbit (a
+    partition in any form ``as_parts`` reads): d_GK minus half the orbit
+    dimension, with epsilon slack.  Negative values are returned as-is (they
+    signal a vanishing rate)."""
     return BoundExponent(
-        coeff=m.gk_dim() - Fraction(orbit_dim(orbit), 2),
+        coeff=m.gk_dim() - _half_orbit_dim(orbit, m.total_dim),
         epsilon_slack=True,
         description="|c_O| <= C q^(ell(pi) (d_GK - dim(O)/2 + eps))",
     )
@@ -146,30 +152,29 @@ def genbound_exponent(param: GenArthurParam) -> BoundExponent:
 
 def p0_exponents(
     N: int,
-    p0: Optional[Fraction],
-    orbit: Optional[Partition] = None,
+    p0: Optional[Fraction | int | str],
+    orbit: Optional[Partition | Iterable[int]] = None,
     arthur_type: bool = True,
 ) -> BoundExponent:
     """Exponent in terms of a lower bound p0 on the integrability exponent.
 
     coeff = N(N-1) (1 - b^2), with b = ``decay.shifted_decay`` of 1 - 2/p0:
     max(0, 1 - 2/p0 - s), s = 0 for Arthur type and s = 2/N otherwise.  When
-    an orbit is supplied, half its dimension is subtracted (the coefficient
-    variant).  p0 = None means p0 = infinity.
+    an orbit (a partition in any form ``as_parts`` reads) is supplied, half
+    its dimension is subtracted (the coefficient variant).  p0 = None means
+    p0 = infinity; any other p0 is read by ``parse_rat``.
     """
     check_positive_int(N, "N")
     t = Fraction(1)
     if p0 is not None:
-        p0 = Fraction(p0)
+        p0 = read_at("p0", parse_rat, p0)
         if p0 < 2:
             raise ValueError(f"p0 must be >= 2, got {p0}")
         t -= 2 / p0
     base = shifted_decay(t, N, arthur_type)
     coeff = N * (N - 1) * (1 - base * base)
     if orbit is not None:
-        if orbit.n != N:
-            raise ValueError(f"orbit partition sums to {orbit.n}, expected {N}")
-        coeff -= Fraction(orbit_dim(orbit), 2)
+        coeff -= _half_orbit_dim(orbit, N)
     return BoundExponent(
         coeff=coeff,
         epsilon_slack=True,

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .partitions import Partition, as_parts
+from .rationals import parse_rat, read_at
 
 
 def expand_blocks(blocks: Iterable[tuple]) -> list:
@@ -42,8 +42,9 @@ class CharacterList:
     """Multiset of rational twist exponents in integer-scaled run-length form:
     ``unit`` is the lcm of the value denominators and ``blocks`` holds one
     ``(value * unit, multiplicity)`` pair per distinct value, values
-    decreasing.  Built from the values, so every block has a positive
-    multiplicity; iteration and ``values`` give the values non-increasing, as
+    decreasing.  Built from the values, each read by ``parse_rat`` (values
+    that read equal add up), so every block has a positive multiplicity;
+    iteration and ``values`` give the values non-increasing, as
     ``Fraction``s.
 
     The characters produced by the classification of the unitary dual are
@@ -54,8 +55,12 @@ class CharacterList:
     unit: int
     blocks: tuple[tuple[int, int], ...]
 
-    def __init__(self, values: Iterable[Fraction | int]):
-        counts = {Fraction(value): mult for value, mult in Counter(values).items()}
+    def __init__(self, values: Iterable[Fraction | int | str]):
+        counts: dict[Fraction, int] = {}
+        for value in values:
+            if type(value) is not Fraction:
+                value = read_at("values", parse_rat, value)
+            counts[value] = counts.get(value, 0) + 1
         unit = math.lcm(*(v.denominator for v in counts))
         blocks = sorted(
             ((v.numerator * (unit // v.denominator), mult) for v, mult in counts.items()),
@@ -91,12 +96,6 @@ class CharacterList:
 
     def __repr__(self) -> str:
         return f"CharacterList({list(self.values)})"
-
-    def is_negation_symmetric(self) -> bool:
-        return all(
-            v == -w and mult == other
-            for (v, mult), (w, other) in zip(self.blocks, reversed(self.blocks))
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,23 +136,24 @@ def dominates(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> bool:
 def _max_ratio_scan(scaled: Sequence[int], unit: int) -> tuple[int, int, list[int]]:
     """Exact maximum of 2*sigma_i(values)/(i*(n-i)) for values = scaled/unit.
 
-    Scans every cut point 1 <= i <= n-1 with integer cross-multiplication.
+    Scans every cut point 1 <= i <= n-1, comparing sigma_i * w_j with
+    sigma_j * w_i in integers, where w = i(n-i): the common factor 2/unit
+    cancels, so the unit (which may be huge) enters only the result.
     Returns an unreduced (numerator, denominator) pair for the maximum plus
     the full list of maximizing indices.
     """
     n = len(scaled)
-    best_n = best_d = 0
+    best_s = best_w = 0
     maximizers: list[int] = []
     sigma = 0
     for i in range(1, n):
         sigma += scaled[i - 1]
-        num = 2 * sigma
-        den = unit * i * (n - i)
-        if not maximizers or num * best_d > best_n * den:
-            best_n, best_d, maximizers = num, den, [i]
-        elif num * best_d == best_n * den:
+        w = i * (n - i)
+        if not maximizers or sigma * best_w > best_s * w:
+            best_s, best_w, maximizers = sigma, w, [i]
+        elif sigma * best_w == best_s * w:
             maximizers.append(i)
-    return best_n, best_d, maximizers
+    return 2 * best_s, unit * best_w, maximizers
 
 
 def decay_t(xi: CharacterList | Sequence[Fraction | int]) -> DecayResult:
@@ -229,17 +229,16 @@ def maximizer_certificate(xi: CharacterList | Sequence[Fraction | int]) -> Maxim
     if not isinstance(xi, CharacterList):
         xi = CharacterList(xi)
     n = len(xi)
-    unit = xi.unit
-    scaled = expand_blocks(xi.blocks)
-    best_n = best_d = 0
+    scaled = expand_blocks(xi.blocks)  # the unit is common to every cut
+    best_s = best_w = 0
     argmax: list[int] = []
     sigma = 0
     for i in range(1, n // 2 + 1):
         sigma += scaled[i - 1]
-        den = unit * i * (n - i)
-        if not argmax or sigma * best_d > best_n * den:
-            best_n, best_d, argmax = sigma, den, [i]
-        elif sigma * best_d == best_n * den:
+        w = i * (n - i)
+        if not argmax or sigma * best_w > best_s * w:
+            best_s, best_w, argmax = sigma, w, [i]
+        elif sigma * best_w == best_s * w:
             argmax.append(i)
 
     boundaries = list(itertools.accumulate(mult for v, mult in xi.blocks if v > 0))

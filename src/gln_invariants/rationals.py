@@ -8,7 +8,10 @@ single rationals such as a twist or a GK-dimension.  Floats never enter a
 computation; they appear only in rendering helpers for CSV/JSON output
 columns.
 
-The models (labels, summands, segments and their sums) check their own
+Every rational entering a model, a character or a bound (a twist, an
+endpoint, a character value, p0) is read by :func:`parse_rat` where it
+enters, so a float is rejected, not rounded; a ``Fraction`` is taken as it
+is.  The models (labels, summands, segments and their sums) check their own
 fields and read their own JSON with the helpers below, so every input check
 raises :class:`InputError` naming the offending field.
 """

@@ -68,8 +68,10 @@ class Segment:
     hi: int
 
     def __init__(self, rho: SupercuspidalLabel, a, b):
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is not Fraction:
+            a = read_at("a", parse_rat, a)
+        if type(b) is not Fraction:
+            b = read_at("b", parse_rat, b)
         span = b - a
         if span.denominator != 1 or span < 0:
             raise InputError("b", f"b - a must be a non-negative integer, got {rat_str(span)}")
@@ -120,11 +122,17 @@ class Segment:
     @classmethod
     def from_json(cls, data) -> "Segment":
         rho, a, b = json_fields(data, "rho", "a", "b")
-        return cls(
-            read_at("rho", SupercuspidalLabel.from_json, rho),
-            read_at("a", parse_rat, str(a)),
-            read_at("b", parse_rat, str(b)),
-        )
+        return cls(read_at("rho", SupercuspidalLabel.from_json, rho), str(a), str(b))
+
+
+def check_label_dims(items: Iterable, field: str) -> None:
+    """Reject summands or segments (``items``) that give one label id two
+    dimensions; the error names ``field``."""
+    dims = {}
+    for item in items:
+        rho = item.rho
+        if dims.setdefault(rho.id, rho.dim) != rho.dim:
+            raise InputError(field, f"label {rho.id!r} used with inconsistent dimensions")
 
 
 def is_linked(s1: Segment, s2: Segment) -> bool:
@@ -170,12 +178,7 @@ class Multisegment:
         # segment can precede a later one
         unit = math.lcm(*{s.unit for s in segs})
         segs.sort(key=lambda s: (s.rho.id, -s.lo * (unit // s.unit), -s.hi * (unit // s.unit)))
-        dims = {}
-        for s in segs:
-            if dims.setdefault(s.rho.id, s.rho.dim) != s.rho.dim:
-                raise InputError(
-                    "segments", f"label {s.rho.id!r} used with inconsistent dimensions"
-                )
+        check_label_dims(segs, "segments")
         object.__setattr__(self, "segments", tuple(segs))
 
     def __len__(self) -> int:

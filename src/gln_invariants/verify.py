@@ -572,7 +572,7 @@ def _unitary_chunk(twist_grid: Sequence[Fraction], max_summands: int, job) -> Sw
 
 def verify_uncertainty_unitary(
     N: int,
-    twist_grid: Sequence[Fraction],
+    twist_grid: Sequence[Fraction | int | str],
     max_summands: int = 3,
     threads: int = 1,
 ) -> SweepSummary:

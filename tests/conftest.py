@@ -130,3 +130,32 @@ def doubled_blocks(parts):
     top = [(k - 1, e[k]) for k in range(d1, 1, -1) if e[k]]
     middle = [(0, e[1])] if e[1] else []
     return top + middle + [(-v, mult) for v, mult in reversed(top)]
+
+
+def max_ratio_scan(scaled, unit):
+    """The per-cut scan that ``decay._max_ratio_scan`` replaced, kept as its
+    oracle: every cut compared as 2*sigma_i over unit*i*(n-i), so the unit
+    enters every cross-multiplication.  The same unreduced
+    (numerator, denominator, maximizers) result."""
+    n = len(scaled)
+    best_n = best_d = 0
+    maximizers = []
+    sigma = 0
+    for i in range(1, n):
+        sigma += scaled[i - 1]
+        num = 2 * sigma
+        den = unit * i * (n - i)
+        if not maximizers or num * best_d > best_n * den:
+            best_n, best_d, maximizers = num, den, [i]
+        elif num * best_d == best_n * den:
+            maximizers.append(i)
+    return best_n, best_d, maximizers
+
+
+def is_negation_symmetric(xi):
+    """True iff the character ``xi`` (a ``CharacterList``) is unchanged by
+    negating every value."""
+    return all(
+        v == -w and mult == other
+        for (v, mult), (w, other) in zip(xi.blocks, reversed(xi.blocks))
+    )

@@ -13,7 +13,7 @@ from gln_invariants.bounds import (
     relative_exponents,
     speh_exponent,
 )
-from gln_invariants.partitions import Partition
+from gln_invariants.partitions import Partition, partition_tuples
 from gln_invariants.rationals import InputError
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
@@ -148,6 +148,25 @@ def test_hch_examples():
 
     with pytest.raises(ValueError):
         hch_coefficient_exponent(m, Partition([3]))
+
+
+def test_an_orbit_is_read_in_any_partition_form():
+    for n in range(1, 9):
+        m = generic_multisegment(n)
+        for parts in partition_tuples(n):
+            orbit = Partition(parts)
+            hch = hch_coefficient_exponent(m, orbit)
+            p0 = p0_exponents(n, 4, orbit)
+            for form in (list, lambda ps: ps[::-1], iter):
+                assert hch_coefficient_exponent(m, form(parts)) == hch
+                assert p0_exponents(n, 4, form(parts)) == p0
+    gen = generic_multisegment(4)
+    with pytest.raises(ValueError, match="orbit partition sums to 3, expected 4"):
+        hch_coefficient_exponent(gen, [2, 1])
+    with pytest.raises(ValueError, match="orbit partition sums to 3, expected 4"):
+        p0_exponents(4, 4, [2, 1])
+    with pytest.raises(InputError, match=r"^parts\[1\]: must be a positive integer$"):
+        hch_coefficient_exponent(gen, [4, 0])
 
 
 @settings(max_examples=150)

@@ -18,7 +18,7 @@ from gln_invariants.cli import _report_json
 from gln_invariants.partitions import Partition, partition_tuples
 from gln_invariants.verify import arthur_rep_from_partition, report_for_arthur_partition
 
-from conftest import max_ratio_blocks, unitary_reps
+from conftest import is_negation_symmetric, max_ratio_blocks, max_ratio_scan, unitary_reps
 
 H = Fraction(1, 2)
 
@@ -46,8 +46,8 @@ def test_dominates_examples():
 def test_character_list_sorting_and_symmetry():
     xi = CharacterList([-H, H, 0])
     assert list(xi) == [H, 0, -H]
-    assert xi.is_negation_symmetric()
-    assert not CharacterList([H, H, -H, H]).is_negation_symmetric()
+    assert is_negation_symmetric(xi)
+    assert not is_negation_symmetric(CharacterList([H, H, -H, H]))
     assert CharacterList([H, H]) != CharacterList([Fraction(1, 3)] * 2)
 
 
@@ -103,7 +103,7 @@ def test_character_list_matches_sorted_fraction_oracle(data):
     assert list(xi) == ordered and list(xi.values) == ordered
     assert len(xi) == len(values)
     assert (xi == CharacterList(other)) == (sorted(values) == sorted(other))
-    assert xi.is_negation_symmetric() == all(
+    assert is_negation_symmetric(xi) == all(
         ordered[i] == -ordered[-1 - i] for i in range(len(ordered))
     )
     if len(values) >= 2:
@@ -145,6 +145,28 @@ def test_max_ratio_blocks_decreasing_block_example():
     # maximum is at cut 1
     num, den = max_ratio_blocks([(1, 1), (-5, 3)], 1)
     assert Fraction(num, den) == Fraction(2, 3)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=40), st.integers(1, 10**60))
+def test_unit_free_scan_matches_the_per_cut_oracle(scaled, unit):
+    # any order and sign: the scan never assumes its input sorted
+    assert _max_ratio_scan(scaled, unit) == max_ratio_scan(scaled, unit)
+
+
+wide_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**60))
+
+
+@settings(max_examples=100)
+@given(st.lists(wide_rationals, min_size=2, max_size=12))
+def test_scans_over_a_wide_unit_match_the_fraction_oracles(values):
+    xi = CharacterList(values + [-v for v in values[1:]])
+    result = decay_t(xi)
+    assert (result.t, set(result.maximizers)) == naive_decay(list(xi))
+    report = maximizer_certificate(xi)
+    assert (report.argmax, report.block_boundaries, report.contained) == naive_certificate(
+        list(xi)
+    )
 
 
 def test_decay_t_examples():

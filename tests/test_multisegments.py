@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from gln_invariants.arthur import ArthurSummand, UnitaryRep
 from gln_invariants.partitions import Partition, orbit_dim
+from gln_invariants.rationals import InputError
 from gln_invariants.segments import (
     Multisegment,
     Segment,
@@ -162,5 +164,12 @@ def test_json_round_trip(m):
 
 
 def test_label_dimension_consistency_checked():
-    with pytest.raises(ValueError):
-        Multisegment([seg(0, 0), seg(1, 1, SupercuspidalLabel("r1", 2))])
+    # one check, and one message, for the segments and the summands form
+    other = SupercuspidalLabel("r1", 2)
+    with pytest.raises(InputError) as seg_err:
+        Multisegment([seg(0, 0), seg(1, 1, other)])
+    with pytest.raises(InputError) as rep_err:
+        UnitaryRep([ArthurSummand(R1, 1, 1), ArthurSummand(other, 1, 1)])
+    assert (seg_err.value.field, rep_err.value.field) == ("segments", "summands")
+    message = "label 'r1' used with inconsistent dimensions"
+    assert seg_err.value.message == rep_err.value.message == message

@@ -5,7 +5,25 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gln_invariants.rationals import parse_rat, rat_decimal, rat_str, ratio_decimal
+from gln_invariants.arthur import ArthurSummand
+from gln_invariants.bounds import p0_exponents
+from gln_invariants.decay import CharacterList, decay_t, maximizer_certificate
+from gln_invariants.rationals import InputError, parse_rat, rat_decimal, rat_str, ratio_decimal
+from gln_invariants.segments import Segment, SupercuspidalLabel
+
+RHO = SupercuspidalLabel("rho", 1)
+
+# (reader, field, read): every place a rational enters a model, a character
+# or a bound
+RATIONAL_READERS = [
+    ("ArthurSummand", "x", lambda v: ArthurSummand(RHO, 1, 1, v)),
+    ("Segment", "a", lambda v: Segment(RHO, v, 1)),
+    ("Segment", "b", lambda v: Segment(RHO, 0, v)),
+    ("CharacterList", "values", lambda v: CharacterList([0, v])),
+    ("decay_t", "values", lambda v: decay_t([Fraction(1, 2), v])),
+    ("maximizer_certificate", "values", lambda v: maximizer_certificate([v, 0])),
+    ("p0_exponents", "p0", lambda v: p0_exponents(4, v)),
+]
 
 
 def test_parse_and_render_round_trip():
@@ -17,6 +35,28 @@ def test_parse_and_render_round_trip():
         parse_rat("one half")
     with pytest.raises(ValueError):
         parse_rat("1/0")
+
+
+@pytest.mark.parametrize(
+    "field, read, value",
+    [
+        pytest.param(field, read, value, id=f"{reader}.{field}={value!r}")
+        for reader, field, read in RATIONAL_READERS
+        for value in (0.1, True, None, "abc")
+        if not (field == "p0" and value is None)  # p0 = None means infinity
+    ],
+)
+def test_every_rational_is_read_by_parse_rat(field, read, value):
+    with pytest.raises(InputError) as err:
+        read(value)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: not an exact rational: {value!r}"
+
+
+def test_character_values_that_read_equal_add_up():
+    xi = CharacterList(["1/2", Fraction(1, 2), "-1/2", Fraction(-1, 2)])
+    assert len(xi) == 4
+    assert (xi.unit, xi.blocks) == (2, ((1, 2), (-1, 2)))
 
 
 def test_decimal_rendering():
