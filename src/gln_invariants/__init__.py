@@ -32,13 +32,7 @@ from .partitions import (
     partition_tuples,
 )
 from .rationals import InputError, parse_rat, rat_decimal, rat_str
-from .segments import (
-    Multisegment,
-    Segment,
-    SupercuspidalLabel,
-    is_linked,
-    precedes,
-)
+from .segments import Multisegment, Segment, SupercuspidalLabel
 from .verify import (
     ConsistencyBudget,
     FigureRow,
@@ -83,14 +77,12 @@ __all__ = [
     "fixed_vector_exponent",
     "genbound_exponent",
     "hch_coefficient_exponent",
-    "is_linked",
     "maximizer_certificate",
     "orbit_dim",
     "p0_exponents",
     "parse_rat",
     "partition_count",
     "partition_tuples",
-    "precedes",
     "prefix_sums",
     "rat_decimal",
     "rat_str",

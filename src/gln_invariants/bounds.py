@@ -69,21 +69,16 @@ def relative_exponents(m: Multisegment) -> tuple[BoundExponent, BoundExponent]:
     d_GK minus the sum of the factors' GK-dimensions, once per segment and
     once with multiplicity length_i.  Both carry epsilon slack."""
     d_gk = m.gk_dim()
-    plain = sum(
-        (Fraction(s.rho.dim * (s.rho.dim - 1), 2) for s in m.segments), Fraction(0)
-    )
-    weighted = sum(
-        (s.length * Fraction(s.rho.dim * (s.rho.dim - 1), 2) for s in m.segments),
-        Fraction(0),
-    )
+    twice = [s.rho.dim * (s.rho.dim - 1) for s in m.segments]  # each factor's 2 d_GK
+    plain, weighted = sum(twice), sum(s.length * k for s, k in zip(m.segments, twice))
     return (
         BoundExponent(
-            coeff=d_gk - plain,
+            coeff=d_gk - Fraction(plain, 2),
             epsilon_slack=True,
             description="growth relative to prod dim(rho_i^K_ell)",
         ),
         BoundExponent(
-            coeff=d_gk - weighted,
+            coeff=d_gk - Fraction(weighted, 2),
             epsilon_slack=True,
             description="growth relative to prod dim(rho_i^K_ell)^k_i",
         ),

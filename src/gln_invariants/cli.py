@@ -6,7 +6,8 @@ representation; ``verify-arthur``, ``verify-unitary`` and
 tightness dataset as CSV; ``partitions`` streams partitions of N.
 
 Exit codes: 0 success, 2 malformed input, 3 a verified statement failed
-(should be impossible), 4 I/O error, 5 a sweep worker failed.
+(should be impossible), 4 I/O error, 5 a sweep worker failed, 130
+interrupted (SIGINT, as by Ctrl-C).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -45,14 +47,27 @@ EXIT_PARSE = 2
 EXIT_VIOLATION = 3
 EXIT_IO = 4
 EXIT_SWEEP = 5
+EXIT_INTERRUPTED = 130
 
 THREADS_ENV_VAR = "GLN_INVARIANTS_THREADS"
+
+# each least gap of a sweep: its ``SweepSummary`` field, which is also its
+# JSON key and CSV column, and its label in the text summary
+SUMMARY_GAPS = (("min_gap_lower", "min gap lower (t - g)"), ("min_gap_upper", "min gap upper"))
+
+MAX_INPUT_BITS = 1024
+"""Most bits in the lcm of an input's twist or endpoint denominators, and in
+each twist or endpoint written over it: ``parse_rep`` rejects a wider input.
+A rendered integer then has at most ~40 bits more, well under 4,300 digits
+(``sys.get_int_max_str_digits()``).  An input at this cap and at
+``MAX_INPUT_N`` (a +/- pair, d = 50,000) took 1.8-2.6 s and wrote 63 MB
+on a 2-vCPU Xeon."""
 
 
 def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
     """Parse a JSON-described representation; raises InputError naming the
-    offending field on any violated constraint, or when its total dimension
-    exceeds MAX_INPUT_N."""
+    offending field on any violated constraint, when its total dimension
+    exceeds MAX_INPUT_N, or when its rationals exceed MAX_INPUT_BITS."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -67,16 +82,32 @@ def parse_rep(text: Union[str, bytes]) -> Union[UnitaryRep, Multisegment]:
     if "summands" in data:
         rep, field = UnitaryRep.from_json(data), "summands"
         n = rep.N
+        rationals = [(s.x.numerator, s.x.denominator) for s in rep.summands]
     elif "segments" in data:
         rep, field = Multisegment.from_json(data), "segments"
         n = rep.total_dim
+        rationals = [(end, s.unit) for s in rep.segments for end in (s.lo, s.hi)]
     else:
         raise InputError(
             "<input>", "expected 'summands' (unitarizable form) or 'segments' (multisegment)"
         )
     if n > MAX_INPUT_N:
         raise InputError(field, f"total dimension {n} exceeds the cap of {MAX_INPUT_N}")
+    if not _fits_bit_cap(rationals):
+        raise InputError(field, "rationals over their common denominator exceed the cap of "
+                                f"{MAX_INPUT_BITS} bits")
     return rep
+
+
+def _fits_bit_cap(rationals: list[tuple[int, int]]) -> bool:
+    """Whether the lcm of the denominators of the rationals num/den, and each
+    num over it, have at most MAX_INPUT_BITS bits; the lcm stops at the first
+    step past the cap."""
+    unit = 1
+    for _, den in rationals:
+        if (unit := math.lcm(unit, den)).bit_length() > MAX_INPUT_BITS:
+            return False
+    return all((num * (unit // den)).bit_length() <= MAX_INPUT_BITS for num, den in rationals)
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +207,10 @@ def _write_json(data, out: IO[str]) -> None:
 
 def _summary_text(summary: SweepSummary, what: str) -> str:
     lines = [f"checked {summary.count} {what}, {len(summary.failures)} failures"]
-    if summary.min_gap_lower is not None:
-        lines.append(
-            f"min gap lower (t - g): {rat_str(summary.min_gap_lower)}"
-            f" ({rat_decimal(summary.min_gap_lower)})"
-        )
-    if summary.min_gap_upper is not None:
-        lines.append(
-            f"min gap upper: {rat_str(summary.min_gap_upper)}"
-            f" ({rat_decimal(summary.min_gap_upper)})"
-        )
+    for name, label in SUMMARY_GAPS:
+        gap = getattr(summary, name)
+        if gap is not None:
+            lines.append(f"{label}: {rat_str(gap)} ({rat_decimal(gap)})")
     return "\n".join(lines)
 
 
@@ -194,8 +219,7 @@ def _summary_json(summary: SweepSummary) -> dict:
         "N": summary.N,
         "count": summary.count,
         "failures": [_report_json(r) for r in summary.failures],
-        "min_gap_lower": _rat_json(summary.min_gap_lower),
-        "min_gap_upper": _rat_json(summary.min_gap_upper),
+        **{name: _rat_json(getattr(summary, name)) for name, _ in SUMMARY_GAPS},
     }
 
 
@@ -203,12 +227,10 @@ def _emit_summary(summary: SweepSummary, what: str, args, out: IO[str]) -> int:
     if args.format == "json":
         _write_json(_summary_json(summary), out)
     elif args.format == "csv":
-        out.write("count,failures,min_gap_lower,min_gap_upper\n")
-        out.write(
-            f"{summary.count},{len(summary.failures)},"
-            f"{'' if summary.min_gap_lower is None else rat_str(summary.min_gap_lower)},"
-            f"{'' if summary.min_gap_upper is None else rat_str(summary.min_gap_upper)}\n"
-        )
+        gaps = (getattr(summary, name) for name, _ in SUMMARY_GAPS)
+        out.write(",".join(["count", "failures", *(name for name, _ in SUMMARY_GAPS)]) + "\n")
+        out.write(",".join([str(summary.count), str(len(summary.failures)),
+                            *("" if gap is None else rat_str(gap) for gap in gaps)]) + "\n")
     else:
         out.write(_summary_text(summary, what) + "\n")
         for rep in summary.failures:
@@ -422,6 +444,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

@@ -10,10 +10,11 @@ cross-checked in the test suite, never trusted alone.
 
 A character has one form, :class:`CharacterList`: integer run-length blocks
 over one common denominator.  The scans read those integers; ``Fraction`` is
-built only where a value leaves the API.  ``_max_ratio_scan`` takes the
-exact maximum over every cut and returns the maximizers (``decay_t``); the
-Arthur sweep's cross-check, ``verify._scan_two_xi``, reads the same maximum
-from the end cuts of the character's non-negative blocks.
+built only where a value leaves the API.  ``_cut_scan`` compares the cuts
+in integers, every cut for ``decay_t`` and the first half for
+``maximizer_certificate``; the Arthur sweep's cross-check,
+``verify._scan_two_xi``, reads the same maximum from the end cuts of the
+character's non-negative blocks.
 """
 
 from __future__ import annotations
@@ -124,35 +125,34 @@ def dominates(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> bool:
     """True iff b is dominated by a: every prefix sum of b is <= that of a."""
     if len(a) != len(b):
         raise ValueError(f"exponent lists must have equal length: {len(a)} != {len(b)}")
-    sa = sb = Fraction(0)
-    for x, y in zip(a, b):
-        sa += Fraction(x)
-        sb += Fraction(y)
-        if sb > sa:
-            return False
-    return True
+    return all(sb <= sa for sa, sb in zip(prefix_sums(a), prefix_sums(b)))
 
 
-def _max_ratio_scan(scaled: Sequence[int], unit: int) -> tuple[int, int, list[int]]:
-    """Exact maximum of 2*sigma_i(values)/(i*(n-i)) for values = scaled/unit.
-
-    Scans every cut point 1 <= i <= n-1, comparing sigma_i * w_j with
-    sigma_j * w_i in integers, where w = i(n-i): the common factor 2/unit
-    cancels, so the unit (which may be huge) enters only the result.
-    Returns an unreduced (numerator, denominator) pair for the maximum plus
-    the full list of maximizing indices.
-    """
+def _cut_scan(scaled: Sequence[int], stop: int) -> tuple[int, int, list[int]]:
+    """The greatest sigma_i/w_i, w = i(n-i), over the cuts 1 <= i < stop of
+    the n integers ``scaled``, compared as sigma_i * w_j against sigma_j * w_i:
+    (sigma, w) at the first maximizer, and every maximizing cut."""
     n = len(scaled)
     best_s = best_w = 0
     maximizers: list[int] = []
     sigma = 0
-    for i in range(1, n):
+    for i in range(1, stop):
         sigma += scaled[i - 1]
         w = i * (n - i)
         if not maximizers or sigma * best_w > best_s * w:
             best_s, best_w, maximizers = sigma, w, [i]
         elif sigma * best_w == best_s * w:
             maximizers.append(i)
+    return best_s, best_w, maximizers
+
+
+def _max_ratio_scan(scaled: Sequence[int], unit: int) -> tuple[int, int, list[int]]:
+    """Exact maximum of 2*sigma_i(values)/(i*(n-i)) over every cut 1 <= i <=
+    n-1 for values = scaled/unit, as an unreduced (numerator, denominator)
+    pair, plus every maximizing index.  The common factor 2/unit cancels in
+    the comparisons, so the unit (which may be huge) enters only the result.
+    """
+    best_s, best_w, maximizers = _cut_scan(scaled, len(scaled))
     return 2 * best_s, unit * best_w, maximizers
 
 
@@ -228,19 +228,7 @@ def maximizer_certificate(xi: CharacterList | Sequence[Fraction | int]) -> Maxim
     """
     if not isinstance(xi, CharacterList):
         xi = CharacterList(xi)
-    n = len(xi)
-    scaled = expand_blocks(xi.blocks)  # the unit is common to every cut
-    best_s = best_w = 0
-    argmax: list[int] = []
-    sigma = 0
-    for i in range(1, n // 2 + 1):
-        sigma += scaled[i - 1]
-        w = i * (n - i)
-        if not argmax or sigma * best_w > best_s * w:
-            best_s, best_w, argmax = sigma, w, [i]
-        elif sigma * best_w == best_s * w:
-            argmax.append(i)
-
+    _, _, argmax = _cut_scan(expand_blocks(xi.blocks), len(xi) // 2 + 1)  # unit-free
     boundaries = list(itertools.accumulate(mult for v, mult in xi.blocks if v > 0))
     contained = (not boundaries) or set(argmax) <= set(boundaries)
     return MaximizerReport(

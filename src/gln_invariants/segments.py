@@ -135,33 +135,6 @@ def check_label_dims(items: Iterable, field: str) -> None:
             raise InputError(field, f"label {rho.id!r} used with inconsistent dimensions")
 
 
-def is_linked(s1: Segment, s2: Segment) -> bool:
-    """True iff the two segments lie on the same cuspidal line at integer
-    offset, their union is a segment, and neither contains the other."""
-    if s1.rho.id != s2.rho.id:
-        return False
-    if (s2.a - s1.a).denominator != 1:
-        return False
-    if max(s1.a, s2.a) > min(s1.b, s2.b) + 1:
-        return False  # union is not a segment
-    if s1.a <= s2.a and s2.b <= s1.b:
-        return False  # s1 contains s2
-    if s2.a <= s1.a and s1.b <= s2.b:
-        return False  # s2 contains s1
-    return True
-
-
-def precedes(s1: Segment, s2: Segment) -> bool:
-    """True iff s1 and s2 are linked with s1 starting strictly earlier:
-    a1 < a2 (integer offset), b1 < b2, and a2 <= b1 + 1."""
-    if s1.rho.id != s2.rho.id:
-        return False
-    diff = s2.a - s1.a
-    if diff.denominator != 1 or diff <= 0:
-        return False
-    return s1.b < s2.b and s2.a <= s1.b + 1
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Multisegment:
     """Multiset of segments, stored in a canonical order where no earlier
@@ -174,8 +147,8 @@ class Multisegment:
         if not segs:
             raise InputError("segments", "multisegment must contain at least one segment")
         # by label, then a descending, then b descending, compared as integers
-        # over the lcm of the units: since `precedes` needs a1 < a2, no earlier
-        # segment can precede a later one
+        # over the lcm of the units: since `precedes` (tests/conftest.py) needs
+        # a1 < a2, no earlier segment can precede a later one
         unit = math.lcm(*{s.unit for s in segs})
         segs.sort(key=lambda s: (s.rho.id, -s.lo * (unit // s.unit), -s.hi * (unit // s.unit)))
         check_label_dims(segs, "segments")

@@ -240,17 +240,44 @@ def _ranked_partitions(job) -> Iterator[tuple[int, ...]]:
     return itertools.islice(partition_tuples(n, start), len(ranks))
 
 
+def _ignore_sigint() -> None:
+    """Pool worker initializer: ignore SIGINT, which Ctrl-C sends to the whole
+    process group, so the pool does not break under it and the parent ends
+    the sweep.  The worker starts with SIGINT held (``_held``) until here."""
+    import signal  # here: only a pool worker needs it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGINT])
+
+
+def _held(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with SIGINT held in this thread and in the
+    processes and threads it starts; one that arrives meanwhile is taken on
+    return."""
+    import signal  # here: only a pool needs it
+
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        return call(*args, **kwargs)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
 def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
     """``worker(job)`` for each job in order, in a pool of at most one process
     per CPU when there are several threads and jobs; a failure raises
-    SweepError naming the job."""
+    SweepError naming the job.  SIGINT is held while the workers start, so
+    none dies of it, and while the pool shuts down, so a second one cannot
+    stop the shutdown halfway."""
     pool = None
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: only a pool needs it
-        pool = ProcessPoolExecutor(min(threads, len(jobs), os.cpu_count() or 1))
+        pool = ProcessPoolExecutor(
+            min(threads, len(jobs), os.cpu_count() or 1), initializer=_ignore_sigint
+        )
     done = 0
     try:
-        for result in map(worker, jobs) if pool is None else pool.map(worker, jobs):
+        for result in map(worker, jobs) if pool is None else _held(pool.map, worker, jobs):
             yield result
             done += 1
     except Exception as exc:
@@ -260,7 +287,7 @@ def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
                          f"{type(exc).__name__}: {exc}") from exc
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)  # the jobs not yet started
+            _held(pool.shutdown, cancel_futures=True)  # the jobs not yet started
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +373,10 @@ def _arthur_chunk(job) -> SweepSummary:
         s, _, tn, td = _partition_stats(parts, n)
         scan_n, scan_d = _scan_two_xi(parts, n)
         low, up = _arthur_gaps(n, s, tn, td)
-        notes = []
-        if scan_n * td != tn * scan_d:
-            notes.append("closed-form t differs from prefix-sum scan")
-        if notes or low[0] < 0 or up[0] < 0:
+        scan_ok = scan_n * td == tn * scan_d
+        if not scan_ok or low[0] < 0 or up[0] < 0:
             report = report_for_arthur_partition(parts)
-            failures.append(_failure_report(report, notes, low[0] >= 0, up[0] >= 0, "t^2 <= g"))
+            failures.append(_failure_report(report, scan_ok, low[0] >= 0, up[0] >= 0, True))
             continue
         if min_low is None or low[0] * min_low[1] < min_low[0] * low[1]:
             min_low = low
@@ -367,14 +392,15 @@ def _arthur_chunk(job) -> SweepSummary:
 
 
 def _failure_report(
-    report: InvariantReport, notes: list[str], lower_ok: bool, upper_ok: bool, upper: str
+    report: InvariantReport, scan_ok: bool, lower_ok: bool, upper_ok: bool, arthur_type: bool
 ) -> InvariantReport:
-    """``report`` noting each failed cross-check in ``notes`` and each failed
-    bound, the upper one stated as ``upper``."""
+    """``report`` with a note naming each failed check: the closed-form t
+    against its scan, the lower bound and the upper bound of its class."""
+    notes = [] if scan_ok else ["closed-form t differs from prefix-sum scan"]
     if not lower_ok:
         notes.append("lower bound g <= t failed")
     if not upper_ok:
-        notes.append(f"upper bound {upper} failed")
+        notes.append(f"upper bound {'t^2' if arthur_type else '(t - 2/N)^2'} <= g failed")
     return replace(report, note="; ".join(notes))
 
 
@@ -552,13 +578,10 @@ def _unitary_chunk(twist_grid: Sequence[Fraction], max_summands: int, job) -> Sw
         pi = _rep_from_case(case)
         report = report_for_rep(pi)
         g, t, arthur_type = report.g, report.t, pi.is_arthur_type
-        notes = []
-        if arthur_type and t != decay_t_arthur(report.arthur_sl2):
-            notes.append("closed-form t differs from prefix-sum scan")
-        if notes or not (report.lower_ok and report.upper_ok):
-            upper = "t^2 <= g" if arthur_type else "(t - 2/N)^2 <= g"
+        scan_ok = not arthur_type or t == decay_t_arthur(report.arthur_sl2)
+        if not (scan_ok and report.lower_ok and report.upper_ok):
             failures.append(
-                _failure_report(report, notes, report.lower_ok, report.upper_ok, upper)
+                _failure_report(report, scan_ok, report.lower_ok, report.upper_ok, arthur_type)
             )
             continue
         shifted = shifted_decay(t, n, arthur_type)

@@ -159,3 +159,62 @@ def is_negation_symmetric(xi):
         v == -w and mult == other
         for (v, mult), (w, other) in zip(xi.blocks, reversed(xi.blocks))
     )
+
+
+def is_linked(s1, s2):
+    """True iff the two segments lie on the same cuspidal line at integer
+    offset, their union is a segment, and neither contains the other."""
+    if s1.rho.id != s2.rho.id:
+        return False
+    if (s2.a - s1.a).denominator != 1:
+        return False
+    if max(s1.a, s2.a) > min(s1.b, s2.b) + 1:
+        return False  # union is not a segment
+    if s1.a <= s2.a and s2.b <= s1.b:
+        return False  # s1 contains s2
+    if s2.a <= s1.a and s1.b <= s2.b:
+        return False  # s2 contains s1
+    return True
+
+
+def precedes(s1, s2):
+    """True iff s1 and s2 are linked with s1 starting strictly earlier:
+    a1 < a2 (integer offset), b1 < b2, and a2 <= b1 + 1.  The spec of the
+    canonical order of ``Multisegment``: no earlier segment precedes a later
+    one."""
+    if s1.rho.id != s2.rho.id:
+        return False
+    diff = s2.a - s1.a
+    if diff.denominator != 1 or diff <= 0:
+        return False
+    return s1.b < s2.b and s2.a <= s1.b + 1
+
+
+def half_range_argmax(scaled):
+    """The argmax loop ``decay.maximizer_certificate`` had before it shared
+    ``decay._cut_scan``, kept as its oracle: every maximizing cut i <= n/2
+    of sigma_i/(i(n-i)) over the integers ``scaled``, in increasing order."""
+    n = len(scaled)
+    best_s = best_w = 0
+    argmax = []
+    sigma = 0
+    for i in range(1, n // 2 + 1):
+        sigma += scaled[i - 1]
+        w = i * (n - i)
+        if not argmax or sigma * best_w > best_s * w:
+            best_s, best_w, argmax = sigma, w, [i]
+        elif sigma * best_w == best_s * w:
+            argmax.append(i)
+    return argmax
+
+
+def running_sum_dominates(a, b):
+    """The running-sum loop ``decay.dominates`` had before it read
+    ``decay.prefix_sums``, kept as its oracle (lists of equal length)."""
+    sa = sb = Fraction(0)
+    for x, y in zip(a, b):
+        sa += Fraction(x)
+        sb += Fraction(y)
+        if sb > sa:
+            return False
+    return True

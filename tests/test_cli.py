@@ -2,10 +2,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
+import signal
 import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -840,3 +843,162 @@ def test_long_part_beside_many_unit_parts_finishes_quickly(tmp_path):
     data = json.loads(run.stdout)
     assert data["arthur_sl2"] == [50000] + [1] * 50000
     assert data["wavefront"] == [50001] + [1] * 49999
+
+
+# sha256 and length of each sweep's summary in text and CSV, which the JSON
+# pins above do not reach; the consistency sweep checks no bound, so its
+# gaps are None and its CSV row ends in two empty fields
+@pytest.mark.parametrize(
+    "argv, fmt, size, digest",
+    [
+        (["verify-arthur", "--N", "8"], "text", 110,
+         "1087b6c9d8b57ab4d58be4522321bcd88bda1d79f7cafff8aa7bce324e4bea48"),
+        (["verify-arthur", "--N", "8"], "csv", 52,
+         "da5f8e1f2be4e0ba24247ea383304db18c03d48a26dee463a2a7d925d9e1794d"),
+        (["verify-unitary", "--N", "6"], "text", 119,
+         "fb455478f880d447c65a01704017f8a2291d5b13dc7072507b0ca41b859bf121"),
+        (["verify-unitary", "--N", "6"], "csv", 53,
+         "3cc2e8762f998d790ada11dd38f2b00094f03150b16dd99fdac86b6c5979c912"),
+        (["verify-consistency", "--N", "4", "--max-summands", "1", "--max-dim", "1",
+          "--max-a", "1", "--max-d", "1", "--random-cases", "3"], "text", 38,
+         "8fa2780f57993be9457f5e7c6c7403ed5c5f4d7669e1ea665dd358318a23d53b"),
+        (["verify-consistency", "--N", "4", "--max-summands", "1", "--max-dim", "1",
+          "--max-a", "1", "--max-d", "1", "--random-cases", "3"], "csv", 49,
+         "896b803efc1485443e11461f3eed32ccbe06c3ab49f69fd590f61178a3e30635"),
+    ],
+)
+def test_sweep_summary_bytes_are_pinned(capsys, argv, fmt, size, digest):
+    flags = ["--format", fmt] if fmt != "text" else []
+    assert main(argv + flags + ["--threads", "1"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("fmt", [None, "csv", "json"])
+def test_each_gap_is_rendered_under_its_own_name(fmt):
+    # two different gaps, so a swapped or dropped one shows in every format
+    import argparse
+    import io
+
+    from gln_invariants.cli import _emit_summary
+    from gln_invariants.verify import SweepSummary
+
+    summary = SweepSummary(N=5, count=3, min_gap_lower=Fraction(1, 3),
+                           min_gap_upper=Fraction(2, 7))
+    out = io.StringIO()
+    assert _emit_summary(summary, "partitions", argparse.Namespace(format=fmt), out) == 0
+    expected = {
+        None: "checked 3 partitions, 0 failures\n"
+              "min gap lower (t - g): 1/3 (0.333333333333)\n"
+              "min gap upper: 2/7 (0.285714285714)\n",
+        "csv": "count,failures,min_gap_lower,min_gap_upper\n3,0,1/3,2/7\n",
+    }
+    if fmt == "json":
+        data = json.loads(out.getvalue())
+        assert data["min_gap_lower"] == {"num": 1, "den": 3, "decimal": "0.333333333333"}
+        assert data["min_gap_upper"] == {"num": 2, "den": 7, "decimal": "0.285714285714"}
+    else:
+        assert out.getvalue() == expected[fmt]
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="finds the pool's workers through /proc",
+)
+@pytest.mark.parametrize("run", range(5))
+def test_ctrl_c_ends_a_sweep_with_one_line_and_exit_130(run):
+    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it, as
+    # soon as the parent has child processes: the workers ignore it, and the
+    # parent lets the running chunks finish (about 2 s of the 8 chunks of
+    # p(60) = 966,467 partitions on 2 CPUs) and exits 130 with one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gln_invariants", "verify-arthur", "--N", "60", "--threads", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_subprocess_env(), start_new_session=True,
+    )
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            with open(children) as handle:
+                if handle.read().split():
+                    break
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        signalled = time.monotonic()
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        elapsed = time.monotonic() - signalled
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (cli.EXIT_INTERRUPTED, "interrupted\n")
+    assert elapsed < 20
+
+
+CAP = cli.MAX_INPUT_BITS
+CAP_ERROR = f"rationals over their common denominator exceed the cap of {CAP} bits"
+
+
+def _pair(p, q, name="a", d=1):
+    """A +/- twisted pair |.|^(+-p/q) rho[1][d]."""
+    return [{"rho": _rho(name), "a": 1, "d": d, "x": f"{sign}{p}/{q}"} for sign in ("", "-")]
+
+
+def _point(value, name="a"):
+    """The one-point segment <value, value>."""
+    return {"rho": _rho(name), "a": str(value), "b": str(value)}
+
+
+@pytest.mark.parametrize(
+    "rep, field",
+    [
+        ({"summands": _pair(2 ** (CAP - 1) - 1, 2**CAP - 1)}, None),  # a denominator at the cap
+        ({"summands": _pair(1, 2**CAP + 1)}, "summands"),
+        # each denominator under the cap, their lcm over it
+        ({"summands": _pair(1, 3**380) + _pair(1, 2**500, "b")}, "summands"),
+        ({"segments": [_point(2**CAP - 1), _point(1 - 2**CAP)]}, None),
+        ({"segments": [_point(-(2**CAP))]}, "segments"),
+        # each endpoint under the cap, one of them over the common denominator not
+        ({"segments": [_point(2 ** (CAP - 20)), _point(Fraction(1, 2**30))]}, "segments"),
+    ],
+)
+def test_rationals_above_the_cap_are_named_by_their_field(tmp_path, capsys, rep, field):
+    path = write(tmp_path, "rep.json", rep)
+    code = main(["invariants", "--input", path])
+    out, err = capsys.readouterr()
+    if field is None:
+        assert code == 0, err
+        json.loads(out)
+    else:
+        assert (code, out, err) == (2, "", f"error: {field}: {CAP_ERROR}\n")
+
+
+def _hostile_inputs():
+    """The inputs that ran out of digits in a rendered integer before the
+    cap: 1,000 +/- pairs with random 60-digit denominators q and numerators
+    p < q/2, 1,000 one-point segments with distinct random 60-digit units,
+    and two one-point segments at +-5 * 10^4299 (17 KB)."""
+    rng = random.Random(9)
+    qs = [rng.randrange(10**59, 10**60) for _ in range(2000)]
+    pairs = [summand for i, q in enumerate(qs[:1000])
+             for summand in _pair(rng.randrange(1, q // 2), q, f"r{i}")]
+    points = [_point(Fraction(rng.randrange(-q, q), q), f"r{i}") for i, q in enumerate(qs[1000:])]
+    far = 5 * 10**4299
+    return {
+        "pairs": ({"summands": pairs}, "summands"),
+        "points": ({"segments": points}, "segments"),
+        "far": ({"segments": [_point(far), _point(-far)]}, "segments"),
+    }
+
+
+@pytest.mark.parametrize("name", ["pairs", "points", "far"])
+def test_hostile_rationals_exit_2_naming_their_field_at_once(tmp_path, capsys, name):
+    rep, field = _hostile_inputs()[name]
+    path = write(tmp_path, "rep.json", rep)
+    started = time.perf_counter()
+    code = main(["invariants", "--input", path])
+    elapsed = time.perf_counter() - started
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {field}: {CAP_ERROR}\n"))
+    assert elapsed < 3

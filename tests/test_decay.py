@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from gln_invariants.decay import (
     CharacterList,
+    _cut_scan,
     _max_ratio_scan,
     decay_t,
     decay_t_arthur,
@@ -18,7 +19,14 @@ from gln_invariants.cli import _report_json
 from gln_invariants.partitions import Partition, partition_tuples
 from gln_invariants.verify import arthur_rep_from_partition, report_for_arthur_partition
 
-from conftest import is_negation_symmetric, max_ratio_blocks, max_ratio_scan, unitary_reps
+from conftest import (
+    half_range_argmax,
+    is_negation_symmetric,
+    max_ratio_blocks,
+    max_ratio_scan,
+    running_sum_dominates,
+    unitary_reps,
+)
 
 H = Fraction(1, 2)
 
@@ -152,6 +160,24 @@ def test_max_ratio_blocks_decreasing_block_example():
 def test_unit_free_scan_matches_the_per_cut_oracle(scaled, unit):
     # any order and sign: the scan never assumes its input sorted
     assert _max_ratio_scan(scaled, unit) == max_ratio_scan(scaled, unit)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=40))
+def test_half_range_argmax_matches_its_oracle(scaled):
+    # any order and sign for the shared kernel; the certificate reads the
+    # same list as a character, scanned non-increasing
+    assert _cut_scan(scaled, len(scaled) // 2 + 1)[2] == half_range_argmax(scaled)
+    expected = half_range_argmax(sorted(scaled, reverse=True))
+    assert maximizer_certificate(scaled).argmax == frozenset(expected)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12))
+def test_dominates_matches_the_running_sum_loop(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    assert dominates(a, b) == running_sum_dominates(a, b)
+    assert dominates(a, a) and running_sum_dominates(a, a)
 
 
 wide_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**60))

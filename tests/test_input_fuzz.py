@@ -4,6 +4,7 @@ end in exit 0 or 2, print no traceback and return in bounded time."""
 import contextlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -76,3 +77,42 @@ def test_any_input_is_exit_0_or_2_without_a_traceback(input_path, command, data)
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+@st.composite
+def wide_reps(draw):
+    """Well-formed summands or segments whose rationals have many distinct
+    denominators of up to 60 digits, and endpoints of up to 400 digits: below
+    and above the cap on an input's rationals (``cli.MAX_INPUT_BITS``)."""
+    digits = draw(st.integers(1, 60))
+    dens = st.integers(10 ** (digits - 1), 10**digits)
+    if draw(st.booleans()):
+        summands = []
+        for i in range(draw(st.integers(1, 20))):
+            q = draw(dens) + 2
+            p, d = draw(st.integers(1, (q - 1) // 2)), draw(small)
+            summands += [{"rho": {"id": f"r{i}", "dim": 1}, "a": 1, "d": d, "x": f"{sign}{p}/{q}"}
+                         for sign in ("", "-")]
+        return {"summands": summands}
+    segments = []
+    for i in range(draw(st.integers(1, 20))):
+        q, p = draw(dens), draw(st.integers(-(10**400), 10**400))
+        b = p + q * draw(st.integers(0, 3))
+        segments.append({"rho": {"id": f"r{i % 3}", "dim": 1}, "a": f"{p}/{q}", "b": f"{b}/{q}"})
+    return {"segments": segments}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=wide_reps())
+def test_wide_rationals_are_exit_0_or_one_line_naming_their_field(input_path, data):
+    input_path.write_text(json.dumps(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["invariants", "--input", str(input_path)])
+    assert time.perf_counter() - started < SECONDS
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert (code, out.getvalue()) == (2, ""), err.getvalue()
+        assert re.fullmatch(r"error: (summands|segments)[^:]*: [^\n]+\n", err.getvalue())

@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from gln_invariants.arthur import ArthurSummand, UnitaryRep
 from gln_invariants.partitions import Partition, orbit_dim
 from gln_invariants.rationals import InputError
-from gln_invariants.segments import (
-    Multisegment,
-    Segment,
-    SupercuspidalLabel,
-    is_linked,
-    precedes,
-)
+from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
-from conftest import multisegments, segments
+from conftest import is_linked, multisegments, precedes, segments
 
 R1 = SupercuspidalLabel("r1", 1)
 R2 = SupercuspidalLabel("r2", 2)

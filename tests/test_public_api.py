@@ -13,10 +13,7 @@ ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 
 # public names nothing above reaches, each with its reason to stay
 KEPT = {
-    "is_linked": "with precedes, the spec of the canonical multisegment order",
-    "precedes": "the spec of the canonical multisegment order",
     "p0_exponents": "kept until ROADMAP item 5 settles its normalisation",
-    "prefix_sums": "traced by bench/spans.py until ROADMAP item 1's benchmark change",
     "dominates": "traced by bench/spans.py until ROADMAP item 1's benchmark change",
     "dominance_leq": "traced by bench/spans.py until ROADMAP item 1's benchmark change",
     "figure_rows": "traced by bench/spans.py until ROADMAP item 1's benchmark change",

@@ -426,6 +426,24 @@ def test_unitary_jobs_are_ranks_whose_cases_cover_the_walk(monkeypatch, threads)
     assert checked == cases
 
 
+def test_pool_workers_ignore_sigint_and_the_parent_keeps_it():
+    # two jobs at two threads run in a pool; each worker reports its SIGINT
+    # handler and its blocked signals, and the parent's are left as they were
+    import functools
+    import signal
+
+    def parent_state():
+        return signal.getsignal(signal.SIGINT), signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    before = parent_state()
+    handlers = verify._map_chunks(signal.getsignal, [signal.SIGINT] * 2, 2)
+    assert list(handlers) == [signal.SIG_IGN] * 2
+    blocked = functools.partial(signal.pthread_sigmask, signal.SIG_BLOCK)
+    assert [signal.SIGINT in mask for mask in verify._map_chunks(blocked, [[], []], 2)] == [
+        False, False]
+    assert parent_state() == before
+
+
 @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
 def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     # 1,029 cases at --threads 5000 make six chunks of the 200 floor; the
@@ -435,7 +453,8 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is verify._ignore_sigint
             sizes.append(max_workers)
 
         def map(self, worker, jobs):
