@@ -13,8 +13,9 @@ over one common denominator.  The scans read those integers; ``Fraction`` is
 built only where a value leaves the API.  ``_cut_scan`` compares the cuts
 in integers, every cut for ``decay_t`` and the first half for
 ``maximizer_certificate``; the Arthur sweep's cross-check,
-``verify._scan_two_xi``, reads the same maximum from the end cuts of the
-character's non-negative blocks.
+``verify._scan_two_xi``, reads the same maximum from a partition's part
+counts, at the end cuts of the character's non-negative blocks, resuming
+from the highest level whose count changed since the previous partition.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def _partition_stats(parts: tuple[int, ...], n: int) -> tuple[int, int, int, int
     so g = s/(n(n-1)); the sum of d^2, so d_GK = (n^2 - sum)/2; and the
     closed-form t as an unreduced (numerator, denominator):
     t = (d_1 - 1)/(n - a_1), with d_1 the greatest part and a_1 its
-    multiplicity, and t = 0 when d_1 = 1."""
+    multiplicity, and t = 0 when d_1 = 1.  Called by ``decay_t_arthur`` and
+    ``verify.figure_rows``; the partition sweeps' workers read the same
+    values from ``verify._tallies``."""
     sq = 0
     for d in parts:
         sq += d * d

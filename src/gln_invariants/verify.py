@@ -9,7 +9,11 @@ cut on every Arthur-type case (``_scan_two_xi``, which scans the cuts up to
 (N + e[1])/2, e[1] the multiplicity of 0: the character is negation-symmetric
 and sums to 0, so sigma_{N-i} = sigma_i and the later cuts mirror earlier
 ones), and the two classification routes to the GK-dimension, wavefront set
-and character are compared as exact equalities.
+and character are compared as exact equalities.  The partition sweeps read
+each partition's part counts and sum of d^2 from ``_tallies``, which carries
+them from one partition to the next and recounts the last; the Arthur
+sweep's scan reads only those counts and resumes from the highest level
+whose count changed.
 Floats appear only in CSV rendering columns.
 
 Every sweep counts its cases first with ``_case_count``, which rejects more
@@ -240,6 +244,47 @@ def _ranked_partitions(job) -> Iterator[tuple[int, ...]]:
     return itertools.islice(partition_tuples(n, start), len(ranks))
 
 
+def _tallies(stream: Iterable[tuple[int, ...]], n: int) -> Iterator:
+    """(parts, c, top, sq) for each partition of n in ``stream``, a run of
+    ``partition_tuples``: c[k] is the number of parts k, sq the sum of d^2
+    and top the highest level at or below parts[0] whose count changed
+    since the previous partition (parts[0] for the first).  ``c`` is one list,
+    updated in place.
+
+    The first partition is counted; each later q rewrites only the tail of
+    its predecessor p from i, p's last part above 1: p[i] and p's trailing
+    ones leave, and q's tail is m = len(q) - i parts, m - 1 copies of
+    v = q[i] and the last part r <= v.  The last partition is recounted,
+    and a count that drifted raises."""
+    c, sq, p = [0] * (n + 2), 0, None
+    for q in stream:
+        if p is None:
+            for d in q:
+                c[d] += 1
+                sq += d * d
+            top = q[0]
+        else:
+            ones = c[1]
+            i = len(p) - ones - 1
+            top = p[i]
+            c[top] -= 1
+            c[1] = 0
+            v, r, m = q[i], q[-1], len(q) - i
+            c[v] += m - 1
+            c[r] += 1
+            sq += (m - 1) * v * v + r * r - top * top - ones
+            if not i:
+                top = v
+        yield q, c, top, sq
+        p = q
+    if p is not None:
+        recount = [0] * (n + 2)
+        for d in p:
+            recount[d] += 1
+        if recount != c or sum(d * d for d in p) != sq:
+            raise RuntimeError(f"part counts drifted from the partition stream at {p}")
+
+
 def _ignore_sigint() -> None:
     """Pool worker initializer: ignore SIGINT, which Ctrl-C sends to the whole
     process group, so the pool does not break under it and the parent ends
@@ -294,10 +339,10 @@ def _map_chunks(worker, jobs: list, threads: int) -> Iterator:
 # Arthur-type uncertainty sweep
 
 
-def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
+def _scan_two_xi(c: Sequence[int], n: int, top: int, saved: list) -> tuple[int, int]:
     """Exact maximum of 2*sigma_i/(2*i*(n-i)) over every cut 1 <= i <= n-1
-    of the character attached to a partition of n (parts non-increasing):
-    each part d gives the doubled entries d-1, d-3, ..., 1-d.  Returns the
+    of the character attached to a partition of n with c[k] parts k: each
+    part d gives the doubled entries d-1, d-3, ..., 1-d.  Returns the
     unreduced (num, den) of the maximum ratio, the value decay_t gives, with
     den > 0 when n >= 2.
 
@@ -310,36 +355,38 @@ def _scan_two_xi(a_parts: Sequence[int], n: int) -> tuple[int, int]:
     alpha = sigma_{i0} - v*i0 >= 0 and the ratio is proportional to
     alpha/i + beta/(n-i), beta = alpha + v*n >= 0 as v >= 0: convex, so its
     maximum over the block is at the block's first or last cut, and only
-    those are compared, in integers."""
-    d1 = a_parts[0]
-    c = [0] * (d1 + 1)
-    for d in a_parts:
-        c[d] += 1
-    best_s, best_w = d1 - 1, n - 1  # cut 1, the first block's first cut
-    i = sigma = 0  # the cut before the block and its prefix sum
-    above = above2 = 0  # e[k+1] and e[k+2]
-    for k in range(d1, 0, -1):
+    those are compared, in integers.
+
+    The pass resumes at level ``top`` from saved[top + 1] and stores in
+    saved[k] its state after level k: (the cut i before the next block,
+    sigma_i, the best (s, w) so far, e[k], e[k+1]).  That state reads only
+    the counts at levels k and above, so saved[top + 1] still holds for a
+    partition whose counts changed at top and below.  The caller seeds
+    saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0), cut 1 as the first
+    block's first cut, for a pass from top = d1."""
+    i, sigma, best_s, best_w, above, above2 = saved[top + 1]
+    for k in range(top, 0, -1):
         mult = c[k] + above2  # e[k]
         above, above2 = mult, above
-        if not mult:
-            continue
-        v = k - 1
-        if i:  # the first block's first cut is the seed
-            j = i + 1
-            s = sigma + v
-            w = j * (n - j)
-            if s * best_w > best_s * w:
-                best_s, best_w = s, w
-        if mult > 1:
-            j = i + mult
-            if j == n:  # the all-zero character [1^n]
-                j -= 1
-            s = sigma + v * (j - i)
-            w = j * (n - j)
-            if s * best_w > best_s * w:
-                best_s, best_w = s, w
-        i += mult
-        sigma += v * mult
+        if mult:
+            v = k - 1
+            if i:  # the first block's first cut is the seed
+                j = i + 1
+                s = sigma + v
+                w = j * (n - j)
+                if s * best_w > best_s * w:
+                    best_s, best_w = s, w
+            if mult > 1:
+                j = i + mult
+                if j == n:  # the all-zero character [1^n]
+                    j -= 1
+                s = sigma + v * (j - i)
+                w = j * (n - j)
+                if s * best_w > best_s * w:
+                    best_s, best_w = s, w
+            i += mult
+            sigma += v * mult
+        saved[k] = i, sigma, best_s, best_w, above, above2
     return 2 * best_s, 2 * best_w
 
 
@@ -368,11 +415,15 @@ def _arthur_chunk(job) -> SweepSummary:
     checked = 0
     min_low = None  # (num, den) of t - g
     min_up = None  # (num, den) of g - t^2
-    for parts in _ranked_partitions(job):
+    saved = [None] * (n + 2)  # the scan's state after each level
+    for parts, c, top, sq in _tallies(_ranked_partitions(job), n):
         checked += 1
-        s, _, tn, td = _partition_stats(parts, n)
-        scan_n, scan_d = _scan_two_xi(parts, n)
-        low, up = _arthur_gaps(n, s, tn, td)
+        d1 = parts[0]
+        if top == d1:
+            saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
+        tn, td = (d1 - 1, n - c[d1]) if d1 > 1 else (0, 1)  # as _partition_stats
+        scan_n, scan_d = _scan_two_xi(c, n, top, saved)
+        low, up = _arthur_gaps(n, sq - n, tn, td)
         scan_ok = scan_n * td == tn * scan_d
         if not scan_ok or low[0] < 0 or up[0] < 0:
             report = report_for_arthur_partition(parts)
@@ -467,9 +518,10 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
     rendered: dict[tuple[int, int, int, int], tuple[int, str, bool]] = {}
     lines: dict[int, list[str]] = {}
     count = violations = 0
-    for parts in _ranked_partitions(job):
+    for parts, c, _, sq in _tallies(_ranked_partitions(job), n):
         count += 1
-        stats = _partition_stats(parts, n)
+        d1 = parts[0]
+        stats = (sq - n, sq) + ((d1 - 1, n - c[d1]) if d1 > 1 else (0, 1))  # _partition_stats
         row = rendered.get(stats)
         if row is None:
             row = rendered[stats] = _figure_columns(n, *stats)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from gln_invariants import ArthurSummand, Multisegment, Segment, SupercuspidalLabel, UnitaryRep
+from gln_invariants import verify
 
 labels = st.builds(
     SupercuspidalLabel,
@@ -114,6 +115,19 @@ def max_ratio_blocks(blocks, unit):
         i += mult
         sigma += v * mult
     return 2 * best_s, unit * best_w
+
+
+def fresh_scan(parts):
+    """``verify._scan_two_xi`` on one partition (parts non-increasing) from
+    scratch: its part counts, a pass from the greatest part d1 and the seed
+    state above it.  The unreduced (num, den)."""
+    n, d1 = sum(parts), parts[0]
+    counts = [0] * (d1 + 1)
+    for d in parts:
+        counts[d] += 1
+    saved = [None] * (d1 + 2)
+    saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
+    return verify._scan_two_xi(counts, n, d1, saved)
 
 
 def doubled_blocks(parts):

@@ -620,20 +620,22 @@ def test_failing_sweep_output_bytes_are_pinned(monkeypatch, capsys, fault, argv,
     # a wrong upper bound fails every unitarizable case, and an orbit
     # dimension off by 2 every consistency case, so the JSON pins each
     # sweep's cases, their order and their failure rows.  A sum of d(d - 1)
-    # one too small fails t^2 <= g on the partitions where it is tight and
-    # moves the least gaps of the rest off 0: 4 failures at N = 8, and at
-    # N = 30 three chunks whose least gaps merge
+    # one too small (s of ``_partition_stats``, which the Arthur chunk reads
+    # as sq - n from ``_tallies``) fails t^2 <= g on the partitions where it
+    # is tight and moves the least gaps of the rest off 0: 4 failures at
+    # N = 8, and at N = 30 three chunks whose least gaps merge
     from gln_invariants import verify
 
-    real_dim, real_stats = verify.orbit_dim, verify._partition_stats
+    real_dim, real_tallies = verify.orbit_dim, verify._tallies
 
-    def smaller_s(parts, n):
-        s, sq, tn, td = real_stats(parts, n)
-        return s - 1, sq, tn, td
+    def smaller_s(stream, n):
+        for parts, c, top, sq in real_tallies(stream, n):
+            yield parts, c, top, sq - 1
 
-    faults = {"shifted_decay": lambda t, n, arthur_type: t + 1,
-              "orbit_dim": lambda p: real_dim(p) + 2, "_partition_stats": smaller_s}
-    monkeypatch.setattr(verify, fault, faults[fault])
+    faults = {"shifted_decay": ("shifted_decay", lambda t, n, arthur_type: t + 1),
+              "orbit_dim": ("orbit_dim", lambda p: real_dim(p) + 2),
+              "_partition_stats": ("_tallies", smaller_s)}
+    monkeypatch.setattr(verify, *faults[fault])
     assert main(argv + ["--format", "json", "--threads", "1"]) == 3
     out = capsys.readouterr().out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
@@ -737,7 +739,7 @@ FORCED_FAILURE = textwrap.dedent(
     multiprocessing.set_start_method("fork")
     from gln_invariants import verify
     from gln_invariants.cli import main
-    verify._scan_two_xi = lambda parts, n: (1, 1)
+    verify._scan_two_xi = lambda c, n, top, saved: (1, 1)
     sys.exit(main(sys.argv[1:]))
     """
 )
@@ -767,11 +769,12 @@ def test_failure_in_a_worker_exits_3_with_its_rows():
 
 
 # Runs the CLI with one fault forced into the Arthur sweep's workers: the
-# full-scan cross-check raises, or every chunk's summary carries a failure
-# report whose note cannot be unpickled.
+# full-scan cross-check raises, every chunk's summary carries a failure
+# report whose note cannot be unpickled, or each chunk's partition stream
+# skips its third partition, so its part counts drift.
 WORKER_FAULT = textwrap.dedent(
     """
-    import dataclasses, multiprocessing, sys
+    import dataclasses, itertools, multiprocessing, sys
     multiprocessing.set_start_method("fork")
     from gln_invariants import verify
     from gln_invariants.cli import main
@@ -783,8 +786,12 @@ WORKER_FAULT = textwrap.dedent(
         def __reduce__(self):
             return refuse, ()
 
-    def raising_scan(parts, n):
+    def raising_scan(c, n, top, saved):
         raise ERRORS[sys.argv[1]]("injected")
+
+    def skipping_partitions(job):
+        stream = ranked_partitions(job)
+        return itertools.chain(itertools.islice(stream, 2), itertools.islice(stream, 1, None))
 
     def unloadable_chunk(job):
         summary = arthur_chunk(job)
@@ -793,9 +800,11 @@ WORKER_FAULT = textwrap.dedent(
         return summary
 
     ERRORS = {"ValueError": ValueError, "RuntimeError": RuntimeError}
-    arthur_chunk = verify._arthur_chunk
+    arthur_chunk, ranked_partitions = verify._arthur_chunk, verify._ranked_partitions
     if sys.argv[1] in ERRORS:
         verify._scan_two_xi = raising_scan
+    elif sys.argv[1] == "drift":
+        verify._ranked_partitions = skipping_partitions
     else:
         verify._arthur_chunk = unloadable_chunk
     sys.exit(main(sys.argv[2:]))
@@ -807,10 +816,12 @@ WORKER_FAULT = textwrap.dedent(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("fault", ["ValueError", "RuntimeError", "unpickle"])
+@pytest.mark.parametrize("fault", ["ValueError", "RuntimeError", "unpickle", "drift"])
 def test_worker_fault_exits_5_naming_the_chunk(fault, threads):
     # p(26) = 2436 partitions make two chunks, so --threads 2 uses a pool; a
-    # pool that hangs on a result it cannot unpickle fails on the timeout
+    # pool that hangs on a result it cannot unpickle fails on the timeout.
+    # Without (24, 2), the tail of (24, 1, 1) read as the successor of
+    # (25, 1) counts (24, 24, 1), and the chunk's closing recount finds it
     run = subprocess.run(
         [sys.executable, "-c", WORKER_FAULT, fault, "verify-arthur", "--N", "26",
          "--threads", threads],
@@ -822,7 +833,9 @@ def test_worker_fault_exits_5_naming_the_chunk(fault, threads):
         assert run.returncode == 3, run.stderr
         assert run.stdout.startswith("checked 2436 partitions, 2 failures\n")
         return
-    error = "BrokenProcessPool" if fault == "unpickle" else f"{fault}: injected"
+    error = {"unpickle": "BrokenProcessPool",
+             "drift": "RuntimeError: part counts drifted from the partition stream at ("
+             }.get(fault, f"{fault}: injected")
     assert run.returncode == 5, run.stderr
     assert run.stdout == ""
     assert run.stderr.startswith("error: sweep chunk 1 of 2 (N=26) failed: " + error)

@@ -18,14 +18,13 @@ from gln_invariants import verify
 from gln_invariants.rationals import InputError, rat_decimal
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
-from conftest import doubled_blocks, max_ratio_blocks
+from conftest import doubled_blocks, fresh_scan, max_ratio_blocks
 from gln_invariants.verify import (
     MAX_INPUT_N,
     MAX_SWEEP_CASES,
     ConsistencyBudget,
     FIGURE_CSV_HEADER,
     SweepSummary,
-    _scan_two_xi,
     figure_rows,
     partition_ranks,
     report_for_arthur_partition,
@@ -107,7 +106,64 @@ def test_arthur_sweep_thread_determinism():
 def test_partition_rank_lookup_matches_the_enumeration():
     for n in range(1, 31):
         for rank, parts in enumerate(partition_tuples(n)):
-            assert next(verify._ranked_partitions((n, range(rank, rank + 1)))) == parts
+            # the run from this rank, its first partition counted and the
+            # next one's tail read from it
+            run = checked_tallies(verify._ranked_partitions((n, range(rank, rank + 2))), n)
+            assert [p for p, _ in run] == list(itertools.islice(partition_tuples(n, parts), 2))
+
+
+def checked_tallies(stream, n):
+    """(parts, the resumed scan) for each partition of ``stream``, after
+    checking its ``verify._tallies`` entry against a recount: the part
+    counts, the sum of d^2, and ``top``, the highest level at or below the
+    greatest part whose count changed; and the scan resumed at ``top``
+    against a fresh one, unreduced."""
+    before = None
+    saved = [None] * (n + 2)
+    for parts, c, top, sq in verify._tallies(stream, n):
+        counts = [0] * (n + 2)
+        for d in parts:
+            counts[d] += 1
+        assert (c, sq) == (counts, sum(d * d for d in parts)), parts
+        changed = [k for k in range(1, parts[0] + 1) if before is None or counts[k] != before[k]]
+        assert top == changed[-1], parts
+        if top == parts[0]:
+            saved[top + 1] = (0, 0, parts[0] - 1, n - 1, 0, 0)
+        scan = verify._scan_two_xi(c, n, top, saved)
+        assert scan == fresh_scan(parts), parts
+        before = counts
+        yield parts, scan
+
+
+def test_tallies_and_resumed_scans_match_recounts():
+    # every partition of n <= 40 in enumeration order; the resumed scan also
+    # against the block scan of the full mirrored character
+    for n in range(2, 41):
+        for parts, (num, den) in checked_tallies(partition_tuples(n), n):
+            full_num, full_den = max_ratio_blocks(doubled_blocks(parts), 2)
+            assert num * full_den == full_num * den, parts
+
+
+@st.composite
+def partitions_from(draw, most):
+    """A partition of some n from 2 to ``most``, parts non-increasing."""
+    n = draw(st.integers(2, most))
+    parts, rest = [], n
+    while rest:
+        part = draw(st.integers(1, min(rest, parts[-1] if parts else rest)))
+        parts.append(part)
+        rest -= part
+    return tuple(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_from(300))
+def test_tallies_from_a_random_start_match_recounts(start):
+    # 100 runs of a random partition of n <= 300, beyond the exhaustive
+    # range, and its next 5: 500 successors
+    n = sum(start)
+    run = list(checked_tallies(itertools.islice(partition_tuples(n, start), 6), n))
+    assert run[0][0] == start
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
@@ -168,7 +224,7 @@ def test_block_scan_matches_per_cut_oracle():
                     counts[v + n - 1] += 1
             blocks = [(v, c) for v, c in zip(range(n - 1, -n, -1), reversed(counts)) if c]
             num, den, _ = _max_ratio_scan(expand_blocks(blocks), 2)
-            scan_num, scan_den = _scan_two_xi(parts, n)
+            scan_num, scan_den = fresh_scan(parts)
             assert scan_num * den == num * scan_den, parts
 
 
@@ -176,7 +232,7 @@ def assert_half_range_scan_is_exact(parts):
     # the half-range scan against the block scan of the full mirrored
     # character, and against the closed form t = (d1 - 1)/(n - a1)
     n = sum(parts)
-    num, den = _scan_two_xi(parts, n)
+    num, den = fresh_scan(parts)
     full_num, full_den = max_ratio_blocks(doubled_blocks(parts), 2)
     _, _, tn, td = verify._partition_stats(parts, n)
     assert den > 0, parts
