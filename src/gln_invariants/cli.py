@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import IO, Iterator, Optional, Union
@@ -336,12 +337,14 @@ def _cmd_verify_consistency(args) -> int:
 def _cmd_figure(args) -> int:
     threads = _resolve_threads(args)
     partition_ranks(args.N)  # before --out is truncated
+    failed = Counter()
     with _output(args) as out:
-        count, violations = write_figure_csv(args.N, out, threads=threads)
+        count, failing = write_figure_csv(args.N, out, threads=threads, failed=failed)
     if args.out:
         print(f"wrote {count} rows to {args.out}", file=sys.stderr)
-    if violations:
-        print(f"{violations} rows violate a bound", file=sys.stderr)
+    if failing:
+        print("; ".join(f"{rows} {check}" for check, rows in sorted(failed.items())),
+              file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 

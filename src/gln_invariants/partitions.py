@@ -134,27 +134,33 @@ def partition_tuples(n: int, start: Optional[Iterable[int]] = None) -> Iterator[
     ordered = all(type(p) is int and p > 0 for p in parts) and parts == sorted(parts)[::-1]
     if not ordered or sum(parts) != n:
         raise InputError("start", f"must be a partition of {n}, parts non-increasing")
-    return _partitions_from(parts)
+    return _partitions_from(tuple(parts))
 
 
-def _partitions_from(parts: list[int]) -> Iterator[tuple[int, ...]]:
-    """``parts`` (a checked partition, changed in place) and every partition
-    after it in reverse-lexicographic order."""
+def _partitions_from(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """``p`` (a checked partition) and every partition after it in
+    reverse-lexicographic order.
+
+    Each successor keeps p[:i], where i is the position of p's last part
+    above 1, and is built by slicing: p[i] drops to v = p[i] - 1, and the
+    ``ones`` trailing ones plus the unit taken from p[i] refill the tail as
+    parts at most v, that is k more copies of v and a remainder r, with
+    k, r = divmod(ones + 1, v); for v = 1 the tail is ones + 2 ones.  The
+    count of trailing ones is carried from one partition to the next."""
+    ones = p.count(1)
     while True:
-        yield tuple(parts)
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
+        yield p
+        i = len(p) - ones - 1
         if i < 0:
             return
-        rest = len(parts) - i  # sum removed beyond the decremented part
-        val = parts[i] - 1
-        del parts[i:]
-        parts.append(val)
-        while rest > 0:
-            c = val if val < rest else rest
-            parts.append(c)
-            rest -= c
+        v = p[i] - 1
+        if v == 1:
+            p = p[:i] + (1,) * (ones + 2)
+            ones += 2
+        else:
+            k, r = divmod(ones + 1, v)
+            p = p[:i] + (v,) * (k + 1) + ((r,) if r else ())
+            ones = 1 if r == 1 else 0
 
 
 def partition_count(n: int) -> int:

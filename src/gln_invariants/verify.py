@@ -5,15 +5,19 @@ and the upper bound of ``decay.shifted_decay`` (t^2 <= g for Arthur type,
 (t - 2/N)_+^2 <= g otherwise) are tested by ``report_for_rep``, and in
 integers by ``_arthur_gaps`` on the all-Arthur partition sweeps; the
 closed-form decay parameter is compared against the exact maximum over every
-cut on every Arthur-type case (``_scan_two_xi``, which scans the cuts up to
-(N + e[1])/2, e[1] the multiplicity of 0: the character is negation-symmetric
-and sums to 0, so sigma_{N-i} = sigma_i and the later cuts mirror earlier
-ones), and the two classification routes to the GK-dimension, wavefront set
-and character are compared as exact equalities.  The partition sweeps read
-each partition's part counts and sum of d^2 from ``_tallies``, which carries
-them from one partition to the next and recounts the last; the Arthur
-sweep's scan reads only those counts and resumes from the highest level
-whose count changed.
+cut on every Arthur-type case, the figure's rows included (``_scan_two_xi``,
+which scans the cuts up to (N + e[1])/2, e[1] the multiplicity of 0: the
+character is negation-symmetric and sums to 0, so sigma_{N-i} = sigma_i and
+the later cuts mirror earlier ones), and the two classification routes to
+the GK-dimension, wavefront set and character are compared as exact
+equalities.  The partition sweeps read each partition's part counts and sum
+of d^2 from ``_tallies``, which carries them from one partition to the next
+and recounts the last, and which also yields the position i of the first
+part that changed.  ``_checked_t``, which both partition chunks call, takes
+the closed form and runs the scan, which reads only those counts and
+resumes from the highest level whose count changed.  The figure builds
+each row's label from the label of the kept prefix parts[:i].  Every chunk
+checks that its case stream gave one case per rank it was handed.
 Floats appear only in CSV rendering columns.
 
 Every sweep counts its cases first with ``_case_count``, which rejects more
@@ -43,6 +47,7 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -69,6 +74,9 @@ builds a summand group.  ``invariants`` builds the Arthur-SL2 and the
 character as lists of length N (a Speh input with d = 100,000 took 2.5-3.1 s
 and 58 MB on a 2-vCPU Xeon), so without a cap a 62-byte input with
 ``"dim": 1000000000`` asks for 10^9 parts."""
+
+SCAN_MISMATCH = "closed-form t differs from prefix-sum scan"
+"""The note of a case whose closed-form t the exact cut scan contradicts."""
 
 FIGURE_CSV_HEADER = (
     "partition,d_gk,g_num,g_den,t_num,t_den,g_float,t_float,sqrt_g_float,lower_ok,upper_ok"
@@ -245,11 +253,12 @@ def _ranked_partitions(job) -> Iterator[tuple[int, ...]]:
 
 
 def _tallies(stream: Iterable[tuple[int, ...]], n: int) -> Iterator:
-    """(parts, c, top, sq) for each partition of n in ``stream``, a run of
-    ``partition_tuples``: c[k] is the number of parts k, sq the sum of d^2
-    and top the highest level at or below parts[0] whose count changed
-    since the previous partition (parts[0] for the first).  ``c`` is one list,
-    updated in place.
+    """(parts, c, top, sq, i) for each partition of n in ``stream``, a run
+    of ``partition_tuples``: c[k] is the number of parts k, sq the sum of
+    d^2, top the highest level at or below parts[0] whose count changed
+    since the previous partition (parts[0] for the first) and i the position
+    of the first part that changed (0 for the first): parts[:i] is the
+    previous partition's.  ``c`` is one list, updated in place.
 
     The first partition is counted; each later q rewrites only the tail of
     its predecessor p from i, p's last part above 1: p[i] and p's trailing
@@ -262,7 +271,7 @@ def _tallies(stream: Iterable[tuple[int, ...]], n: int) -> Iterator:
             for d in q:
                 c[d] += 1
                 sq += d * d
-            top = q[0]
+            top, i = q[0], 0
         else:
             ones = c[1]
             i = len(p) - ones - 1
@@ -275,7 +284,7 @@ def _tallies(stream: Iterable[tuple[int, ...]], n: int) -> Iterator:
             sq += (m - 1) * v * v + r * r - top * top - ones
             if not i:
                 top = v
-        yield q, c, top, sq
+        yield q, c, top, sq, i
         p = q
     if p is not None:
         recount = [0] * (n + 2)
@@ -409,22 +418,41 @@ def _arthur_gaps(n: int, s: int, tn: int, td: int) -> tuple[tuple[int, int], tup
     return (tn * nn1 - s * td, td * nn1), (s * td * td - tn * tn * nn1, nn1 * td * td)
 
 
+def _checked_t(parts: tuple[int, ...], c: Sequence[int], n: int, top: int,
+               saved: list) -> tuple[int, int, bool]:
+    """The closed form t = (d1 - 1)/(n - c[d1]) of a partition of n with
+    c[k] parts k, d1 = parts[0] (0/1 when d1 = 1, as ``_partition_stats``),
+    as an unreduced (tn, td) with td > 0, and whether the exact cut scan
+    agrees with it: ``_scan_two_xi`` resumed at level ``top`` from
+    ``saved``, which is seeded here when the pass starts at d1."""
+    d1 = parts[0]
+    if top == d1:
+        saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
+    tn, td = (d1 - 1, n - c[d1]) if d1 > 1 else (0, 1)
+    scan_n, scan_d = _scan_two_xi(c, n, top, saved)
+    return tn, td, scan_n * td == tn * scan_d
+
+
+def _check_rank_count(count: int, ranks: range) -> None:
+    """Raise unless a chunk's case stream gave ``count`` = one case per rank
+    of ``ranks``: a stream that ran short would otherwise shrink the sweep's
+    count and fail nothing."""
+    if count != len(ranks):
+        raise RuntimeError(f"enumerated {count} cases for the {len(ranks)} ranks "
+                           f"from {ranks.start}")
+
+
 def _arthur_chunk(job) -> SweepSummary:
-    n = job[0]
+    n, ranks = job
     failures = []
     checked = 0
     min_low = None  # (num, den) of t - g
     min_up = None  # (num, den) of g - t^2
     saved = [None] * (n + 2)  # the scan's state after each level
-    for parts, c, top, sq in _tallies(_ranked_partitions(job), n):
+    for parts, c, top, sq, _ in _tallies(_ranked_partitions(job), n):
         checked += 1
-        d1 = parts[0]
-        if top == d1:
-            saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
-        tn, td = (d1 - 1, n - c[d1]) if d1 > 1 else (0, 1)  # as _partition_stats
-        scan_n, scan_d = _scan_two_xi(c, n, top, saved)
+        tn, td, scan_ok = _checked_t(parts, c, n, top, saved)
         low, up = _arthur_gaps(n, sq - n, tn, td)
-        scan_ok = scan_n * td == tn * scan_d
         if not scan_ok or low[0] < 0 or up[0] < 0:
             report = report_for_arthur_partition(parts)
             failures.append(_failure_report(report, scan_ok, low[0] >= 0, up[0] >= 0, True))
@@ -433,6 +461,7 @@ def _arthur_chunk(job) -> SweepSummary:
             min_low = low
         if min_up is None or up[0] * min_up[1] < min_up[0] * up[1]:
             min_up = up
+    _check_rank_count(checked, ranks)
     return SweepSummary(
         N=n,
         count=checked,
@@ -447,7 +476,7 @@ def _failure_report(
 ) -> InvariantReport:
     """``report`` with a note naming each failed check: the closed-form t
     against its scan, the lower bound and the upper bound of its class."""
-    notes = [] if scan_ok else ["closed-form t differs from prefix-sum scan"]
+    notes = [] if scan_ok else [SCAN_MISMATCH]
     if not lower_ok:
         notes.append("lower bound g <= t failed")
     if not upper_ok:
@@ -504,31 +533,60 @@ def _figure_columns(n: int, s: int, sq: int, tn: int, td: int) -> tuple[int, str
     return d_gk, tail, lower_ok and upper_ok
 
 
-def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
+def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int, Counter]:
     """The CSV rows of one chunk of partitions of n.  Returns (text, spans,
-    row count, rows violating a bound): ``text`` holds the chunk's rows by
-    increasing d_GK, in enumeration order within one d_GK, and ``spans``
+    row count, failing rows, failed checks): ``text`` holds the chunk's rows
+    by increasing d_GK, in enumeration order within one d_GK, and ``spans``
     maps each d_GK to the (start, end) of its rows in ``text``.  One string
     per chunk, not one per d_GK: freed mid-sized strings stay in the
     parent's heap after a call, and the next pool's forked workers count
-    them in their RSS.  Rows share their columns after the partition with
-    every row of equal ``_partition_stats`` (8,060 distinct among the
-    204,226 partitions of 50), so those are rendered once per chunk."""
-    n = job[0]
-    rendered: dict[tuple[int, int, int, int], tuple[int, str, bool]] = {}
+    them in their RSS.  A row fails when it violates a bound or when the
+    exact cut scan contradicts its closed-form t (``_checked_t``, run on
+    every row); ``failed`` counts the rows failing each of the two checks.
+
+    Rows share their columns after the partition with every row of equal
+    ``_partition_stats`` (8,060 distinct among the 204,226 partitions of
+    50), so those are rendered once per chunk.  Labels are built from
+    prefixes: pre[j] is the label of parts[:j] followed by "+".  A
+    partition keeps its predecessor's parts[:i] (``_tallies``' i; the
+    chunk's first partition has i = 0), so its label is pre[i] and its
+    tail, m - 1 copies of "v+" and then r, and pre[i + 1..i + m - 1] is
+    refreshed on the way; only when v > 1, as a tail of ones never holds a
+    later change position."""
+    n, ranks = job
+    digits = [str(k) for k in range(n + 1)]
+    plus = [d + "+" for d in digits]
+    pre = [""] * n
+    saved = [None] * (n + 2)  # the scan's state after each level
+    # stats -> (the list of its d_GK's rows, its columns, both bounds hold)
+    rendered: dict[tuple[int, int, int, int], tuple[list[str], str, bool]] = {}
     lines: dict[int, list[str]] = {}
-    count = violations = 0
-    for parts, c, _, sq in _tallies(_ranked_partitions(job), n):
+    count = failing = 0
+    failed: Counter = Counter()
+    for parts, c, top, sq, i in _tallies(_ranked_partitions(job), n):
         count += 1
-        d1 = parts[0]
-        stats = (sq - n, sq) + ((d1 - 1, n - c[d1]) if d1 > 1 else (0, 1))  # _partition_stats
+        head = pre[i]
+        if parts[i] == 1:
+            label = head + "1+" * (len(parts) - i - 1) + "1"
+        else:
+            for j in range(i + 1, len(parts)):
+                head = pre[j] = head + plus[parts[j - 1]]
+            label = head + digits[parts[-1]]
+        tn, td, scan_ok = _checked_t(parts, c, n, top, saved)
+        stats = (sq - n, sq, tn, td)  # _partition_stats
         row = rendered.get(stats)
         if row is None:
-            row = rendered[stats] = _figure_columns(n, *stats)
-        d_gk, tail, ok = row
-        if not ok:
-            violations += 1
-        lines.setdefault(d_gk, []).append("+".join(map(str, parts)) + tail)
+            d_gk, tail, ok = _figure_columns(n, *stats)
+            row = rendered[stats] = lines.setdefault(d_gk, []), tail, ok
+        group, tail, ok = row
+        if not (ok and scan_ok):
+            failing += 1
+            if not ok:
+                failed["rows violate a bound"] += 1
+            if not scan_ok:
+                failed["rows: " + SCAN_MISMATCH] += 1
+        group.append(label + tail)
+    _check_rank_count(count, ranks)
     rows, spans, at = [], {}, 0
     for d_gk in sorted(lines):
         group = lines[d_gk]
@@ -536,7 +594,7 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int]:
         spans[d_gk] = (at, at + size)
         at += size
         rows += group
-    return "".join(rows), spans, count, violations
+    return "".join(rows), spans, count, failing, failed
 
 
 def figure_rows(N: int) -> list[FigureRow]:
@@ -553,9 +611,13 @@ def figure_rows(N: int) -> list[FigureRow]:
     return rows
 
 
-def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
+def write_figure_csv(N: int, out: IO[str], threads: int = 1,
+                     failed: Optional[Counter] = None) -> tuple[int, int]:
     """Write the figure dataset (the rows of ``figure_rows``) as CSV with LF
-    endings; returns (row count, number of rows violating a bound).
+    endings; returns (row count, failing rows).  A row fails when it
+    violates a bound or when the exact cut scan contradicts its closed-form
+    t; ``failed``, when given, gains the number of rows failing each check,
+    keyed by a phrase that follows that number ("rows violate a bound").
 
     Workers render their chunks' rows grouped by d_GK; the groups are
     written in increasing d_GK and, within one d_GK, in chunk order.  Chunks
@@ -564,14 +626,17 @@ def write_figure_csv(N: int, out: IO[str], threads: int = 1) -> tuple[int, int]:
     least 2, with p(N) <= MAX_SWEEP_CASES.
     """
     chunks = _sweep(_figure_chunk, N, partition_ranks(N), threads, 2000)
-    texts, spans, counts, violations = zip(*chunks)
+    texts, spans, counts, failing, checks = zip(*chunks)
     out.write(FIGURE_CSV_HEADER + "\n")
     for d_gk in sorted(set().union(*spans)):
         for text, span in zip(texts, spans):
             if d_gk in span:
                 start, end = span[d_gk]
                 out.write(text[start:end])
-    return sum(counts), sum(violations)
+    if failed is not None:
+        for chunk_checks in checks:
+            failed.update(chunk_checks)
+    return sum(counts), sum(failing)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +704,7 @@ def _unitary_chunk(twist_grid: Sequence[Fraction], max_summands: int, job) -> Sw
         shifted = shifted_decay(t, n, arthur_type)
         lows.append(t - g)
         ups.append(g - shifted * shifted)
+    _check_rank_count(len(failures) + len(lows), ranks)
     return SweepSummary(
         N=n, count=len(failures) + len(lows), failures=failures,
         min_gap_lower=min(lows, default=None), min_gap_upper=min(ups, default=None),
@@ -726,7 +792,9 @@ def _consistency_failure(pi: UnitaryRep, notes: list[str]) -> InvariantReport:
 
 def _consistency_exhaustive_chunk(random_cases: int, seed: int, job) -> SweepSummary:
     """Check the cases at the ranks of ``job``: the summand multisets within the
-    budget, counted before the total-dimension filter, then the seeded sample."""
+    budget, counted before the total-dimension filter, then the seeded sample.
+    The ranks consumed are counted before that filter, and must be all of
+    ``job``'s."""
     budget, ranks = job
     shapes = _consistency_shapes(budget)
     multisets = itertools.chain.from_iterable(
@@ -734,8 +802,11 @@ def _consistency_exhaustive_chunk(random_cases: int, seed: int, job) -> SweepSum
         for k in range(1, budget.max_summands + 1)
     )
     stream = itertools.chain(multisets, _random_cases(budget, random_cases, seed))
-    cases = filter(budget.admits, itertools.islice(stream, ranks.start, ranks.stop))
-    return _consistency_random_chunk((budget, cases))
+    consumed = itertools.count()  # zip draws from it once per case it takes
+    ranked = (case for case, _ in zip(itertools.islice(stream, ranks.start, ranks.stop), consumed))
+    summary = _consistency_random_chunk((budget, filter(budget.admits, ranked)))
+    _check_rank_count(next(consumed), ranks)
+    return summary
 
 
 def _consistency_random_chunk(job) -> SweepSummary:

@@ -73,6 +73,42 @@ def unitary_reps(draw):
     return UnitaryRep(summands)
 
 
+@st.composite
+def partitions_from(draw, most):
+    """A partition of some n from 2 to ``most``, parts non-increasing."""
+    n = draw(st.integers(2, most))
+    parts, rest = [], n
+    while rest:
+        part = draw(st.integers(1, min(rest, parts[-1] if parts else rest)))
+        parts.append(part)
+        rest -= part
+    return tuple(parts)
+
+
+def list_partitions_from(parts):
+    """The list-mutating successor that ``partitions._partitions_from``
+    replaced, kept as its oracle: ``parts`` (a partition, parts
+    non-increasing) and every partition after it in reverse-lexicographic
+    order.  Each step finds the last part above 1 by walking back over the
+    trailing ones, decrements it and refills the tail part by part."""
+    parts = list(parts)
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        rest = len(parts) - i  # sum removed beyond the decremented part
+        val = parts[i] - 1
+        del parts[i:]
+        parts.append(val)
+        while rest > 0:
+            c = val if val < rest else rest
+            parts.append(c)
+            rest -= c
+
+
 def max_ratio_blocks(blocks, unit):
     """Exact maximum of 2*sigma_i/(unit*i*(n-i)) over every cut 1 <= i <= n-1
     of the run-length ``blocks`` (value * unit, multiplicity), values

@@ -629,8 +629,8 @@ def test_failing_sweep_output_bytes_are_pinned(monkeypatch, capsys, fault, argv,
     real_dim, real_tallies = verify.orbit_dim, verify._tallies
 
     def smaller_s(stream, n):
-        for parts, c, top, sq in real_tallies(stream, n):
-            yield parts, c, top, sq - 1
+        for parts, c, top, sq, i in real_tallies(stream, n):
+            yield parts, c, top, sq - 1, i
 
     faults = {"shifted_decay": ("shifted_decay", lambda t, n, arthur_type: t + 1),
               "orbit_dim": ("orbit_dim", lambda p: real_dim(p) + 2),
@@ -730,9 +730,9 @@ def test_violation_exit_code_path(capsys):
     assert "1 failures" in out and "FAIL" in out
 
 
-# Runs the CLI with the Arthur sweep's full-scan cross-check forced wrong, so
-# every partition of N but [N] fails inside a worker process.  `fork` carries
-# the patched function into the workers.
+# Runs the CLI with the full-scan cross-check of the Arthur sweep and the
+# figure forced wrong, so every partition of N but [N] fails inside a worker
+# process.  `fork` carries the patched function into the workers.
 FORCED_FAILURE = textwrap.dedent(
     """
     import multiprocessing, sys
@@ -766,6 +766,27 @@ def test_failure_in_a_worker_exits_3_with_its_rows():
         assert sum(line.startswith("FAIL {") for line in lines) == 2435
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_figure_scan_failure_exits_3_with_the_clean_rows():
+    # the figure cross-checks every row's t against the scan; with the scan
+    # forced wrong, its stderr names that check for the 2435 rows other than
+    # [26], and its stdout is the clean run's, at 1 and 2 threads
+    env = _subprocess_env()
+    argv = ["figure", "--N", "26", "--threads"]
+    clean = subprocess.run([sys.executable, "-m", "gln_invariants", *argv, "1"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert clean.returncode == 0 and clean.stderr == "", clean.stderr
+    assert len(clean.stdout.splitlines()) == partition_count(26) + 1
+    for threads in ("1", "2"):
+        run = subprocess.run([sys.executable, "-c", FORCED_FAILURE, *argv, threads],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 3, run.stderr
+        assert run.stderr == "2435 rows: closed-form t differs from prefix-sum scan\n"
+        assert run.stdout == clean.stdout
 
 
 # Runs the CLI with one fault forced into the Arthur sweep's workers: the

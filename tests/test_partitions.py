@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 from gln_invariants.decay import decay_t_arthur
 from gln_invariants.partitions import (
@@ -11,6 +14,8 @@ from gln_invariants.partitions import (
 )
 from gln_invariants.rationals import InputError
 from gln_invariants.verify import arthur_rep_from_partition
+
+from conftest import list_partitions_from, partitions_from
 
 
 def dual_oracle(parts):
@@ -187,6 +192,29 @@ def test_enumeration_resumes_from_any_start():
         for rank, start in enumerate(every):
             assert list(partition_tuples(n, start)) == every[rank:]
             assert list(partition_tuples(n, list(start))) == every[rank:]
+
+
+def test_successor_matches_the_list_oracle():
+    # the sliced successor, which carries the count of trailing ones, against
+    # the list-mutating one: every partition of n <= 40 in order, and the
+    # next four from every start of n <= 30, whose trailing ones are counted
+    for n in range(1, 41):
+        assert list(partition_tuples(n)) == list(list_partitions_from([n])), n
+    for n in range(1, 31):
+        for start in partition_tuples(n):
+            ahead = itertools.islice(partition_tuples(n, start), 5)
+            assert list(ahead) == list(itertools.islice(list_partitions_from(start), 5)), start
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_from(300))
+def test_successor_from_a_random_start_matches_the_list_oracle(start):
+    # beyond the exhaustive range: 100 random partitions of n <= 300 and the
+    # 40 partitions after each
+    n = sum(start)
+    ahead = list(itertools.islice(partition_tuples(n, start), 41))
+    assert ahead == list(itertools.islice(list_partitions_from(start), 41))
+    assert ahead[0] == start
 
 
 @pytest.mark.parametrize("part", [0, -2, 2.0, True])

@@ -18,7 +18,7 @@ from gln_invariants import verify
 from gln_invariants.rationals import InputError, rat_decimal
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
-from conftest import doubled_blocks, fresh_scan, max_ratio_blocks
+from conftest import doubled_blocks, fresh_scan, max_ratio_blocks, partitions_from
 from gln_invariants.verify import (
     MAX_INPUT_N,
     MAX_SWEEP_CASES,
@@ -115,23 +115,27 @@ def test_partition_rank_lookup_matches_the_enumeration():
 def checked_tallies(stream, n):
     """(parts, the resumed scan) for each partition of ``stream``, after
     checking its ``verify._tallies`` entry against a recount: the part
-    counts, the sum of d^2, and ``top``, the highest level at or below the
-    greatest part whose count changed; and the scan resumed at ``top``
-    against a fresh one, unreduced."""
-    before = None
+    counts, the sum of d^2, ``top``, the highest level at or below the
+    greatest part whose count changed, and ``i``, the position of the first
+    part that differs from the previous partition (0 for the first); and
+    the scan resumed at ``top`` against a fresh one, unreduced."""
+    before = previous = None
     saved = [None] * (n + 2)
-    for parts, c, top, sq in verify._tallies(stream, n):
+    for parts, c, top, sq, i in verify._tallies(stream, n):
         counts = [0] * (n + 2)
         for d in parts:
             counts[d] += 1
         assert (c, sq) == (counts, sum(d * d for d in parts)), parts
         changed = [k for k in range(1, parts[0] + 1) if before is None or counts[k] != before[k]]
         assert top == changed[-1], parts
+        kept = 0 if before is None else next(j for j, (a, b) in enumerate(zip(previous, parts))
+                                             if a != b)
+        assert i == kept, parts
         if top == parts[0]:
             saved[top + 1] = (0, 0, parts[0] - 1, n - 1, 0, 0)
         scan = verify._scan_two_xi(c, n, top, saved)
         assert scan == fresh_scan(parts), parts
-        before = counts
+        before, previous = counts, parts
         yield parts, scan
 
 
@@ -142,18 +146,6 @@ def test_tallies_and_resumed_scans_match_recounts():
         for parts, (num, den) in checked_tallies(partition_tuples(n), n):
             full_num, full_den = max_ratio_blocks(doubled_blocks(parts), 2)
             assert num * full_den == full_num * den, parts
-
-
-@st.composite
-def partitions_from(draw, most):
-    """A partition of some n from 2 to ``most``, parts non-increasing."""
-    n = draw(st.integers(2, most))
-    parts, rest = [], n
-    while rest:
-        part = draw(st.integers(1, min(rest, parts[-1] if parts else rest)))
-        parts.append(part)
-        rest -= part
-    return tuple(parts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,6 +169,93 @@ def test_partition_jobs_cover_the_enumeration_in_order(monkeypatch, threads):
         assert shipped == list(partition_tuples(n))
         assert all(key == n and type(ranks) is range for key, ranks in jobs)
         assert [r for _, ranks in jobs for r in ranks] == list(range(partition_count(n)))
+
+
+def figure_labels(job):
+    """The partition labels of ``verify._figure_chunk(job)``'s rows, in the
+    order of its text."""
+    text = verify._figure_chunk(job)[0]
+    return [line.split(",", 1)[0] for line in text.splitlines()]
+
+
+def joined_labels(partitions):
+    """``"+".join`` labels of ``partitions`` (all of one n) in the figure's
+    row order: by increasing d_GK = (n^2 - sum of d^2)/2, that is by
+    decreasing sum of d^2, and in enumeration order within one d_GK."""
+    ordered = sorted(partitions, key=lambda parts: -sum(d * d for d in parts))
+    return ["+".join(map(str, parts)) for parts in ordered]
+
+
+def test_figure_labels_from_prefixes_equal_joined_parts():
+    # a chunk of three from every rank of n <= 30 starts inside runs of
+    # equal parts and on tails of ones, and fills its prefixes from its own
+    # first partition; then the whole of n = 50 in one chunk
+    for n in range(2, 31):
+        every = list(partition_tuples(n))
+        for rank in range(len(every)):
+            ranks = range(rank, min(rank + 3, len(every)))
+            assert figure_labels((n, ranks)) == joined_labels(every[rank : rank + 3]), (n, rank)
+    every = list(partition_tuples(50))
+    assert figure_labels((50, range(len(every)))) == joined_labels(every)
+
+
+@pytest.mark.parametrize("sweep, most, silent", [("arthur", 22, 416), ("figure", 16, 125)])
+def test_a_partition_chunk_missing_any_one_partition_fails(monkeypatch, sweep, most, silent):
+    # Without a count of its ranks a chunk missed 416 of the 4,506 drops for
+    # n <= 22: the first or last partition of each n, and 374 inside the
+    # run (for example (26), then (24, 2) without (25, 1)), where the part
+    # counts of the partition after the gap came out right.  The closing
+    # recount of the tallies passed, and the sweep reported one partition
+    # fewer.  Only the count of ranks catches those.  The figure, about
+    # twice as slow per row, stops at n = 16.  The rows after a gap can fail
+    # their checks; their reports are not built
+    run = {"arthur": verify_uncertainty_arthur,
+           "figure": lambda n: write_figure_csv(n, io.StringIO())}[sweep]
+    real, drop = verify._ranked_partitions, 0
+
+    def skipping(job):  # the chunk's stream without the partition at index drop
+        stream = real(job)
+        return itertools.chain(itertools.islice(stream, drop), itertools.islice(stream, 1, None))
+
+    monkeypatch.setattr(verify, "_ranked_partitions", skipping)
+    monkeypatch.setattr(verify, "report_for_arthur_partition", lambda parts: parts)
+    monkeypatch.setattr(verify, "_failure_report", lambda report, *verdicts: report)
+    missed = 0
+    for n in range(2, most + 1):
+        for drop in range(partition_count(n)):
+            with pytest.raises(verify.SweepError) as exc:
+                run(n)
+            message = str(exc.value)
+            assert message.startswith(f"sweep chunk 1 of 1 (N={n}) failed: ")
+            missed += message.endswith(f"enumerated {partition_count(n) - 1} cases for the "
+                                       f"{partition_count(n)} ranks from 0")
+    assert missed == silent
+
+
+def test_unitary_chunk_missing_its_last_case_fails(monkeypatch, capsys):
+    from gln_invariants.cli import EXIT_SWEEP, main
+
+    real = verify._unitary_cases
+    monkeypatch.setattr(verify, "_unitary_cases", lambda *args: list(real(*args))[:-1])
+    with pytest.raises(verify.SweepError) as exc:
+        verify_uncertainty_unitary(4, ["1/4"], threads=1)
+    assert str(exc.value).endswith("failed: RuntimeError: enumerated 15 cases for the 16 "
+                                   "ranks from 0")
+    argv = ["verify-unitary", "--N", "4", "--twist-grid", "1/4", "--threads", "1"]
+    assert main(argv) == EXIT_SWEEP
+    assert capsys.readouterr().out == ""
+
+
+def test_consistency_chunk_missing_its_last_case_fails(monkeypatch):
+    # the ranks are counted before the total-dimension filter: 2 summand
+    # multisets and 2 random cases, of which the stub draws only 1
+    real = verify._random_cases
+    monkeypatch.setattr(verify, "_random_cases", lambda budget, k, seed: real(budget, k - 1, seed))
+    budget = ConsistencyBudget(max_summands=1, max_dim=1, max_a=2, max_d=1, max_total_dim=1)
+    with pytest.raises(verify.SweepError) as exc:
+        verify_consistency(budget, random_cases=2, threads=1)
+    assert str(exc.value).endswith("failed: RuntimeError: enumerated 3 cases for the 4 ranks "
+                                   "from 0")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
