@@ -172,33 +172,18 @@ def decay_t(xi: CharacterList | Sequence[Fraction | int]) -> DecayResult:
     return DecayResult(t=t, maximizers=frozenset(maxima))
 
 
-def _partition_stats(parts: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
-    """Integer invariants of the Arthur-type representation whose Arthur-SL2
-    is ``parts`` (a partition of n, parts non-increasing): s = sum of d(d-1),
-    so g = s/(n(n-1)); the sum of d^2, so d_GK = (n^2 - sum)/2; and the
-    closed-form t as an unreduced (numerator, denominator):
-    t = (d_1 - 1)/(n - a_1), with d_1 the greatest part and a_1 its
-    multiplicity, and t = 0 when d_1 = 1.  Called by ``decay_t_arthur`` and
-    ``verify.figure_rows``; the partition sweeps' workers read the same
-    values from ``verify._tallies``."""
-    sq = 0
-    for d in parts:
-        sq += d * d
-    d1 = parts[0]
-    if d1 == 1:
-        return sq - n, sq, 0, 1
-    return sq - n, sq, d1 - 1, n - parts.count(d1)
-
-
 def decay_t_arthur(a: Partition | Iterable[int]) -> Fraction:
-    """The closed form of ``_partition_stats`` for Arthur-type data: t = 0
-    when every part is 1 and t = 1 when the partition is [N]."""
+    """The closed form for Arthur-type data whose Arthur-SL2 is the
+    partition ``a`` of N: t = (d_1 - 1)/(N - a_1), with d_1 the greatest
+    part and a_1 its multiplicity; t = 0 when every part is 1 and t = 1
+    when the partition is [N].  The partition sweeps' workers take the same
+    form from ``verify._tallies``."""
     parts = as_parts(a)
     n = sum(parts)
     if n < 2:
         raise ValueError("decay requires N >= 2")
-    _, _, tn, td = _partition_stats(parts, n)
-    return Fraction(tn, td)
+    d1 = parts[0]
+    return Fraction(d1 - 1, n - parts.count(d1)) if d1 > 1 else Fraction(0)
 
 
 def shifted_decay(t: Fraction, n: int, arthur_type: bool) -> Fraction:

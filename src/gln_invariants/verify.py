@@ -10,12 +10,12 @@ which scans the cuts up to (N + e[1])/2, e[1] the multiplicity of 0: the
 character is negation-symmetric and sums to 0, so sigma_{N-i} = sigma_i and
 the later cuts mirror earlier ones), and the two classification routes to
 the GK-dimension, wavefront set and character are compared as exact
-equalities.  The partition sweeps read each partition's part counts and sum
-of d^2 from ``_tallies``, which carries them from one partition to the next
-and recounts the last, and which also yields the position i of the first
-part that changed.  ``_checked_t``, which both partition chunks call, takes
-the closed form and runs the scan, which reads only those counts and
-resumes from the highest level whose count changed.  The figure builds
+equalities.  Both partition chunks read one checked stream, ``_tallies``: it
+carries each partition's part counts and sum of d^2 from one partition to
+the next, takes the closed form and runs the scan, which reads only those
+counts and resumes from the highest level whose count changed; it yields
+the position i of the first part that changed, recounts the last partition
+and checks that its run gave one partition per rank.  The figure builds
 each row's label from the label of the kept prefix parts[:i].  Every chunk
 checks that its case stream gave one case per rank it was handed.
 Floats appear only in CSV rendering columns.
@@ -54,7 +54,7 @@ from functools import cache, partial, reduce
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurSummand, UnitaryRep
-from .decay import CharacterList, _partition_stats, decay_t, decay_t_arthur, shifted_decay
+from .decay import CharacterList, decay_t, decay_t_arthur, shifted_decay
 from .partitions import Partition, as_parts, dual_partition, orbit_dim, partition_tuples
 from .rationals import InputError, check_positive_int, parse_rat, ratio_decimal, read_at
 from .segments import SupercuspidalLabel
@@ -252,21 +252,25 @@ def _ranked_partitions(job) -> Iterator[tuple[int, ...]]:
     return itertools.islice(partition_tuples(n, start), len(ranks))
 
 
-def _tallies(stream: Iterable[tuple[int, ...]], n: int) -> Iterator:
-    """(parts, c, top, sq, i) for each partition of n in ``stream``, a run
-    of ``partition_tuples``: c[k] is the number of parts k, sq the sum of
-    d^2, top the highest level at or below parts[0] whose count changed
-    since the previous partition (parts[0] for the first) and i the position
-    of the first part that changed (0 for the first): parts[:i] is the
-    previous partition's.  ``c`` is one list, updated in place.
+def _tallies(job) -> Iterator:
+    """(parts, i, sq, tn, td, scan_ok) for each partition of n at the ranks
+    of ``job`` = (n, ranks), from ``_ranked_partitions(job)``: i is the
+    position of the first part that changed (0 for the first), so parts[:i]
+    is the previous partition's; sq the sum of d^2; tn/td > 0 the unreduced
+    closed form t = (d1 - 1)/(n - c[d1]) (0/1 when d1 = 1), c[k] the number
+    of parts k; and scan_ok whether ``_scan_two_xi`` agrees with it.
 
     The first partition is counted; each later q rewrites only the tail of
     its predecessor p from i, p's last part above 1: p[i] and p's trailing
     ones leave, and q's tail is m = len(q) - i parts, m - 1 copies of
-    v = q[i] and the last part r <= v.  The last partition is recounted,
-    and a count that drifted raises."""
-    c, sq, p = [0] * (n + 2), 0, None
-    for q in stream:
+    v = q[i] and the last part r <= v.  The scan resumes at ``top``, the
+    highest level at or below d1 whose count changed.  The last partition
+    is recounted, and a count that drifted raises, as does a run without
+    one partition per rank."""
+    n, ranks = job
+    c, sq, p, count = [0] * (n + 2), 0, None, 0
+    saved = [None] * (n + 2)  # the scan's state after each level
+    for count, q in enumerate(_ranked_partitions(job), start=1):
         if p is None:
             for d in q:
                 c[d] += 1
@@ -284,7 +288,12 @@ def _tallies(stream: Iterable[tuple[int, ...]], n: int) -> Iterator:
             sq += (m - 1) * v * v + r * r - top * top - ones
             if not i:
                 top = v
-        yield q, c, top, sq, i
+        d1 = q[0]
+        if top == d1:
+            saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
+        tn, td = (d1 - 1, n - c[d1]) if d1 > 1 else (0, 1)
+        scan_n, scan_d = _scan_two_xi(c, n, top, saved)
+        yield q, i, sq, tn, td, scan_n * td == tn * scan_d
         p = q
     if p is not None:
         recount = [0] * (n + 2)
@@ -292,6 +301,7 @@ def _tallies(stream: Iterable[tuple[int, ...]], n: int) -> Iterator:
             recount[d] += 1
         if recount != c or sum(d * d for d in p) != sq:
             raise RuntimeError(f"part counts drifted from the partition stream at {p}")
+    _check_rank_count(count, ranks)
 
 
 def _ignore_sigint() -> None:
@@ -418,21 +428,6 @@ def _arthur_gaps(n: int, s: int, tn: int, td: int) -> tuple[tuple[int, int], tup
     return (tn * nn1 - s * td, td * nn1), (s * td * td - tn * tn * nn1, nn1 * td * td)
 
 
-def _checked_t(parts: tuple[int, ...], c: Sequence[int], n: int, top: int,
-               saved: list) -> tuple[int, int, bool]:
-    """The closed form t = (d1 - 1)/(n - c[d1]) of a partition of n with
-    c[k] parts k, d1 = parts[0] (0/1 when d1 = 1, as ``_partition_stats``),
-    as an unreduced (tn, td) with td > 0, and whether the exact cut scan
-    agrees with it: ``_scan_two_xi`` resumed at level ``top`` from
-    ``saved``, which is seeded here when the pass starts at d1."""
-    d1 = parts[0]
-    if top == d1:
-        saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
-    tn, td = (d1 - 1, n - c[d1]) if d1 > 1 else (0, 1)
-    scan_n, scan_d = _scan_two_xi(c, n, top, saved)
-    return tn, td, scan_n * td == tn * scan_d
-
-
 def _check_rank_count(count: int, ranks: range) -> None:
     """Raise unless a chunk's case stream gave ``count`` = one case per rank
     of ``ranks``: a stream that ran short would otherwise shrink the sweep's
@@ -443,15 +438,13 @@ def _check_rank_count(count: int, ranks: range) -> None:
 
 
 def _arthur_chunk(job) -> SweepSummary:
-    n, ranks = job
+    n = job[0]
     failures = []
     checked = 0
     min_low = None  # (num, den) of t - g
     min_up = None  # (num, den) of g - t^2
-    saved = [None] * (n + 2)  # the scan's state after each level
-    for parts, c, top, sq, _ in _tallies(_ranked_partitions(job), n):
+    for parts, _, sq, tn, td, scan_ok in _tallies(job):
         checked += 1
-        tn, td, scan_ok = _checked_t(parts, c, n, top, saved)
         low, up = _arthur_gaps(n, sq - n, tn, td)
         if not scan_ok or low[0] < 0 or up[0] < 0:
             report = report_for_arthur_partition(parts)
@@ -461,7 +454,6 @@ def _arthur_chunk(job) -> SweepSummary:
             min_low = low
         if min_up is None or up[0] * min_up[1] < min_up[0] * up[1]:
             min_up = up
-    _check_rank_count(checked, ranks)
     return SweepSummary(
         N=n,
         count=checked,
@@ -506,10 +498,12 @@ class FigureRow:
     upper_ok: bool
 
 
-def _figure_columns(n: int, s: int, sq: int, tn: int, td: int) -> tuple[int, str, bool]:
+def _figure_columns(n: int, sq: int, tn: int, td: int) -> tuple[int, str, bool]:
     """(d_GK, the CSV columns after the partition, whether both bounds hold)
-    for a partition of n with the ``_partition_stats`` (s, sq, tn, td):
-    g = s/(n(n-1)) and t = tn/td, each reduced by gcd."""
+    for a partition of n with sum of d^2 ``sq`` and closed-form t = tn/td:
+    d_GK = (n^2 - sq)/2 and g = s/(n(n-1)), s = sq - n the sum of d(d-1),
+    with g and t each reduced by gcd."""
+    s = sq - n
     (low, _), (up, _) = _arthur_gaps(n, s, tn, td)
     lower_ok, upper_ok = low >= 0, up >= 0
     nn1 = n * (n - 1)
@@ -541,29 +535,28 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int, Count
     per chunk, not one per d_GK: freed mid-sized strings stay in the
     parent's heap after a call, and the next pool's forked workers count
     them in their RSS.  A row fails when it violates a bound or when the
-    exact cut scan contradicts its closed-form t (``_checked_t``, run on
+    exact cut scan contradicts its closed-form t (``_tallies`` runs it on
     every row); ``failed`` counts the rows failing each of the two checks.
 
     Rows share their columns after the partition with every row of equal
-    ``_partition_stats`` (8,060 distinct among the 204,226 partitions of
-    50), so those are rendered once per chunk.  Labels are built from
-    prefixes: pre[j] is the label of parts[:j] followed by "+".  A
-    partition keeps its predecessor's parts[:i] (``_tallies``' i; the
+    (sq, tn, td) from ``_tallies`` (8,060 distinct among the 204,226
+    partitions of 50), so those are rendered once per chunk.  Labels are
+    built from prefixes: pre[j] is the label of parts[:j] followed by "+".
+    A partition keeps its predecessor's parts[:i] (``_tallies``' i; the
     chunk's first partition has i = 0), so its label is pre[i] and its
     tail, m - 1 copies of "v+" and then r, and pre[i + 1..i + m - 1] is
     refreshed on the way; only when v > 1, as a tail of ones never holds a
     later change position."""
-    n, ranks = job
+    n = job[0]
     digits = [str(k) for k in range(n + 1)]
     plus = [d + "+" for d in digits]
     pre = [""] * n
-    saved = [None] * (n + 2)  # the scan's state after each level
-    # stats -> (the list of its d_GK's rows, its columns, both bounds hold)
-    rendered: dict[tuple[int, int, int, int], tuple[list[str], str, bool]] = {}
+    # (sq, tn, td) -> (the list of its d_GK's rows, its columns, both bounds hold)
+    rendered: dict[tuple[int, int, int], tuple[list[str], str, bool]] = {}
     lines: dict[int, list[str]] = {}
     count = failing = 0
     failed: Counter = Counter()
-    for parts, c, top, sq, i in _tallies(_ranked_partitions(job), n):
+    for parts, i, sq, tn, td, scan_ok in _tallies(job):
         count += 1
         head = pre[i]
         if parts[i] == 1:
@@ -572,12 +565,11 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int, Count
             for j in range(i + 1, len(parts)):
                 head = pre[j] = head + plus[parts[j - 1]]
             label = head + digits[parts[-1]]
-        tn, td, scan_ok = _checked_t(parts, c, n, top, saved)
-        stats = (sq - n, sq, tn, td)  # _partition_stats
-        row = rendered.get(stats)
+        key = sq, tn, td
+        row = rendered.get(key)
         if row is None:
-            d_gk, tail, ok = _figure_columns(n, *stats)
-            row = rendered[stats] = lines.setdefault(d_gk, []), tail, ok
+            d_gk, tail, ok = _figure_columns(n, sq, tn, td)
+            row = rendered[key] = lines.setdefault(d_gk, []), tail, ok
         group, tail, ok = row
         if not (ok and scan_ok):
             failing += 1
@@ -586,7 +578,6 @@ def _figure_chunk(job) -> tuple[str, dict[int, tuple[int, int]], int, int, Count
             if not scan_ok:
                 failed["rows: " + SCAN_MISMATCH] += 1
         group.append(label + tail)
-    _check_rank_count(count, ranks)
     rows, spans, at = [], {}, 0
     for d_gk in sorted(lines):
         group = lines[d_gk]
@@ -604,8 +595,8 @@ def figure_rows(N: int) -> list[FigureRow]:
     partition_ranks(N)
     rows = []
     for parts in partition_tuples(N):
-        s, sq, tn, td = _partition_stats(parts, N)
-        g, t = Fraction(s, N * (N - 1)), Fraction(tn, td)
+        sq = sum(d * d for d in parts)
+        g, t = Fraction(sq - N, N * (N - 1)), decay_t_arthur(parts)
         rows.append(FigureRow(parts, (N * N - sq) // 2, g, t, g <= t, t * t <= g))
     rows.sort(key=lambda r: r.d_gk)
     return rows
@@ -689,9 +680,9 @@ def _unitary_chunk(twist_grid: Sequence[Fraction], max_summands: int, job) -> Sw
     """Judge each case at the ranks of ``job`` by its ``report_for_rep``;
     Arthur-type cases also cross-check the closed-form t against its scan."""
     n, ranks = job
-    failures, lows, ups = [], [], []
+    failures, count, min_low, min_up = [], 0, None, None
     cases = _unitary_cases(n, twist_grid, max_summands, ranks.start)
-    for case in itertools.islice(cases, len(ranks)):
+    for count, case in enumerate(itertools.islice(cases, len(ranks)), start=1):
         pi = _rep_from_case(case)
         report = report_for_rep(pi)
         g, t, arthur_type = report.g, report.t, pi.is_arthur_type
@@ -702,13 +693,14 @@ def _unitary_chunk(twist_grid: Sequence[Fraction], max_summands: int, job) -> Sw
             )
             continue
         shifted = shifted_decay(t, n, arthur_type)
-        lows.append(t - g)
-        ups.append(g - shifted * shifted)
-    _check_rank_count(len(failures) + len(lows), ranks)
-    return SweepSummary(
-        N=n, count=len(failures) + len(lows), failures=failures,
-        min_gap_lower=min(lows, default=None), min_gap_upper=min(ups, default=None),
-    )
+        low, up = t - g, g - shifted * shifted
+        if min_low is None or low < min_low:
+            min_low = low
+        if min_up is None or up < min_up:
+            min_up = up
+    _check_rank_count(count, ranks)
+    return SweepSummary(N=n, count=count, failures=failures,
+                        min_gap_lower=min_low, min_gap_upper=min_up)
 
 
 def verify_uncertainty_unitary(

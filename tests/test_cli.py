@@ -619,18 +619,19 @@ def test_random_cases_admitted_one_in_192_draws_are_all_found(capsys):
 def test_failing_sweep_output_bytes_are_pinned(monkeypatch, capsys, fault, argv, size, digest):
     # a wrong upper bound fails every unitarizable case, and an orbit
     # dimension off by 2 every consistency case, so the JSON pins each
-    # sweep's cases, their order and their failure rows.  A sum of d(d - 1)
-    # one too small (s of ``_partition_stats``, which the Arthur chunk reads
-    # as sq - n from ``_tallies``) fails t^2 <= g on the partitions where it
-    # is tight and moves the least gaps of the rest off 0: 4 failures at
-    # N = 8, and at N = 30 three chunks whose least gaps merge
+    # sweep's cases, their order and their failure rows.  The
+    # "_partition_stats" fault makes the sum of d(d - 1) one too small (s,
+    # which the Arthur chunk reads as sq - n from ``_tallies``): it fails
+    # t^2 <= g on the partitions where it is tight and moves the least gaps
+    # of the rest off 0: 4 failures at N = 8, and at N = 30 three chunks
+    # whose least gaps merge
     from gln_invariants import verify
 
     real_dim, real_tallies = verify.orbit_dim, verify._tallies
 
-    def smaller_s(stream, n):
-        for parts, c, top, sq, i in real_tallies(stream, n):
-            yield parts, c, top, sq - 1, i
+    def smaller_s(job):
+        for parts, i, sq, tn, td, scan_ok in real_tallies(job):
+            yield parts, i, sq - 1, tn, td, scan_ok
 
     faults = {"shifted_decay": ("shifted_decay", lambda t, n, arthur_type: t + 1),
               "orbit_dim": ("orbit_dim", lambda p: real_dim(p) + 2),

@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from gln_invariants.arthur import ArthurSummand, UnitaryRep
-from gln_invariants.decay import CharacterList, _max_ratio_scan, expand_blocks, shifted_decay
+from gln_invariants.decay import (
+    CharacterList, _max_ratio_scan, decay_t_arthur, expand_blocks, shifted_decay,
+)
 from gln_invariants.partitions import Partition, partition_count, partition_tuples
 from gln_invariants import verify
 from gln_invariants.rationals import InputError, rat_decimal
@@ -105,45 +107,68 @@ def test_arthur_sweep_thread_determinism():
 
 def test_partition_rank_lookup_matches_the_enumeration():
     for n in range(1, 31):
-        for rank, parts in enumerate(partition_tuples(n)):
+        every = list(partition_tuples(n))
+        for rank, parts in enumerate(every):
             # the run from this rank, its first partition counted and the
             # next one's tail read from it
-            run = checked_tallies(verify._ranked_partitions((n, range(rank, rank + 2))), n)
-            assert [p for p, _ in run] == list(itertools.islice(partition_tuples(n, parts), 2))
+            run = checked_tallies((n, range(rank, min(rank + 2, len(every)))))
+            assert [p for p, _ in run] == every[rank : rank + 2]
 
 
-def checked_tallies(stream, n):
-    """(parts, the resumed scan) for each partition of ``stream``, after
-    checking its ``verify._tallies`` entry against a recount: the part
-    counts, the sum of d^2, ``top``, the highest level at or below the
-    greatest part whose count changed, and ``i``, the position of the first
-    part that differs from the previous partition (0 for the first); and
-    the scan resumed at ``top`` against a fresh one, unreduced."""
-    before = previous = None
-    saved = [None] * (n + 2)
-    for parts, c, top, sq, i in verify._tallies(stream, n):
-        counts = [0] * (n + 2)
-        for d in parts:
-            counts[d] += 1
-        assert (c, sq) == (counts, sum(d * d for d in parts)), parts
-        changed = [k for k in range(1, parts[0] + 1) if before is None or counts[k] != before[k]]
-        assert top == changed[-1], parts
-        kept = 0 if before is None else next(j for j, (a, b) in enumerate(zip(previous, parts))
-                                             if a != b)
-        assert i == kept, parts
-        if top == parts[0]:
-            saved[top + 1] = (0, 0, parts[0] - 1, n - 1, 0, 0)
-        scan = verify._scan_two_xi(c, n, top, saved)
+def checked_tallies(job, stream=None):
+    """(parts, the resumed scan) for each partition of ``verify._tallies(job)``,
+    with ``stream``, when given, in place of ``verify._ranked_partitions(job)``.
+    A recorder around ``verify._scan_two_xi`` keeps the part counts c, the
+    level ``top`` and the result of each scan, and each entry of the stream
+    is checked against a recount of its partition: c, ``top``, the highest
+    level at or below the greatest part whose count changed, the sum of
+    d^2, ``i``, the position of the first part that differs from the
+    previous partition (0 for the first), and the closed form
+    (d1 - 1)/(n - c[d1]) (0/1 when d1 = 1), which the scan must match.
+    After the run each resumed scan is compared with a fresh one,
+    unreduced."""
+    n = job[0]
+    real_scan, real_partitions, calls, run = verify._scan_two_xi, verify._ranked_partitions, [], []
+
+    def recorder(c, n, top, saved):
+        scan = real_scan(c, n, top, saved)
+        calls.append((list(c), top, scan))
+        return scan
+
+    verify._scan_two_xi = recorder
+    if stream is not None:
+        verify._ranked_partitions = lambda job: iter(stream)
+    try:
+        before = previous = None
+        for parts, i, sq, tn, td, scan_ok in verify._tallies(job):
+            (c, top, scan), = calls
+            calls.clear()
+            counts = [0] * (n + 2)
+            for d in parts:
+                counts[d] += 1
+            assert (c, sq) == (counts, sum(d * d for d in parts)), parts
+            changed = [k for k in range(1, parts[0] + 1) if before is None or counts[k] != before[k]]
+            assert top == changed[-1], parts
+            kept = 0 if before is None else next(j for j, (a, b) in enumerate(zip(previous, parts))
+                                                 if a != b)
+            assert i == kept, parts
+            d1 = parts[0]
+            assert (tn, td) == ((d1 - 1, n - counts[d1]) if d1 > 1 else (0, 1)), parts
+            assert scan_ok and scan[0] * td == tn * scan[1], parts
+            before, previous = counts, parts
+            run.append((parts, scan))
+    finally:
+        verify._scan_two_xi, verify._ranked_partitions = real_scan, real_partitions
+    for parts, scan in run:
         assert scan == fresh_scan(parts), parts
-        before, previous = counts, parts
-        yield parts, scan
+    return run
 
 
 def test_tallies_and_resumed_scans_match_recounts():
     # every partition of n <= 40 in enumeration order; the resumed scan also
     # against the block scan of the full mirrored character
     for n in range(2, 41):
-        for parts, (num, den) in checked_tallies(partition_tuples(n), n):
+        for parts, (num, den) in checked_tallies((n, partition_ranks(n))):
             full_num, full_den = max_ratio_blocks(doubled_blocks(parts), 2)
             assert num * full_den == full_num * den, parts
 
@@ -152,10 +177,11 @@ def test_tallies_and_resumed_scans_match_recounts():
 @given(partitions_from(300))
 def test_tallies_from_a_random_start_match_recounts(start):
     # 100 runs of a random partition of n <= 300, beyond the exhaustive
-    # range, and its next 5: 500 successors
+    # range and the rank table, and its next 5: 500 successors
     n = sum(start)
-    run = list(checked_tallies(itertools.islice(partition_tuples(n, start), 6), n))
-    assert run[0][0] == start
+    stream = list(itertools.islice(partition_tuples(n, start), 6))
+    run = checked_tallies((n, range(len(stream))), stream)
+    assert [parts for parts, _ in run] == stream and stream[0] == start
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
@@ -310,13 +336,11 @@ def test_block_scan_matches_per_cut_oracle():
 def assert_half_range_scan_is_exact(parts):
     # the half-range scan against the block scan of the full mirrored
     # character, and against the closed form t = (d1 - 1)/(n - a1)
-    n = sum(parts)
     num, den = fresh_scan(parts)
     full_num, full_den = max_ratio_blocks(doubled_blocks(parts), 2)
-    _, _, tn, td = verify._partition_stats(parts, n)
     assert den > 0, parts
     assert num * full_den == full_num * den, parts
-    assert num * td == tn * den, parts
+    assert Fraction(num, den) == decay_t_arthur(parts), parts
 
 
 def test_half_range_scan_matches_the_full_block_scan():
@@ -362,8 +386,9 @@ def test_arthur_gaps_match_the_reports_fractions():
     # report's t and g and its upper bound through shifted_decay
     for n in range(2, 21):
         for parts in partition_tuples(n):
-            s, _, tn, td = verify._partition_stats(parts, n)
-            low, up = verify._arthur_gaps(n, s, tn, td)
+            t = decay_t_arthur(parts)
+            s = sum(d * (d - 1) for d in parts)
+            low, up = verify._arthur_gaps(n, s, t.numerator, t.denominator)
             report = report_for_arthur_partition(parts)
             shifted = shifted_decay(report.t, n, True)
             assert low[1] > 0 and up[1] > 0
@@ -817,22 +842,23 @@ def test_failed_random_consistency_chunk_names_its_budget(monkeypatch):
 
 
 def test_figure_counts_rows_violating_a_bound(monkeypatch, capsys):
-    # no real partition violates a bound, so some stats tuples are made to;
-    # a tuple's verdict is rendered once per chunk but counts once per row
-    # sharing it (5 rows of N = 19 share one)
+    # no real partition violates a bound, so some (sum of d^2, t) pairs are
+    # made to; a pair's verdict is rendered once per chunk but counts once
+    # per row sharing it (5 rows of N = 19 share one)
     from gln_invariants.cli import EXIT_VIOLATION, main
 
+    def stats(parts):
+        return sum(d * d for d in parts), decay_t_arthur(parts)
+
     n = 19
-    stats, rows = Counter(
-        verify._partition_stats(p, n) for p in partition_tuples(n)
-    ).most_common(1)[0]
+    pair, rows = Counter(map(stats, partition_tuples(n))).most_common(1)[0]
     assert rows == 5
-    failing = {stats, verify._partition_stats((4, 4), 8)}
+    failing = {pair, stats((4, 4))}
     real = verify._figure_columns
 
-    def columns(n, *row_stats):
-        d_gk, tail, ok = real(n, *row_stats)
-        return d_gk, tail, ok and row_stats not in failing
+    def columns(n, sq, tn, td):
+        d_gk, tail, ok = real(n, sq, tn, td)
+        return d_gk, tail, ok and (sq, Fraction(tn, td)) not in failing
 
     monkeypatch.setattr(verify, "_figure_columns", columns)
     assert write_figure_csv(n, io.StringIO(), threads=1) == (partition_count(n), rows)
