@@ -52,6 +52,16 @@ class ArthurSummand:
                 f"got {rat_str(self.x)}",
             )
 
+    @classmethod
+    def _from_checked(cls, rho: SupercuspidalLabel, a: int, d: int, x: Fraction) -> "ArthurSummand":
+        """Trusted constructor: fields that a constructor has already checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "x", x)
+        return self
+
     @property
     def dim(self) -> int:
         return self.rho.dim * self.a * self.d
@@ -72,7 +82,8 @@ class ArthurSummand:
 
 
 def _summand_sort_key(s: ArthurSummand):
-    return (-s.d, -s.a, s.rho.id, -s.x)
+    x = s.x
+    return (-s.d, -s.a, s.rho.id, -x if x else x)  # an untwisted summand builds no Fraction
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -103,6 +114,15 @@ class UnitaryRep:
                     )
         object.__setattr__(self, "summands", ss)
 
+    @classmethod
+    def _from_checked(cls, summands: Iterable[ArthurSummand]) -> "UnitaryRep":
+        """Trusted constructor: summands whose labels a constructor has
+        already checked, only sorted into the canonical order; their pairing
+        is not required."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "summands", tuple(sorted(summands, key=_summand_sort_key)))
+        return self
+
     def __len__(self) -> int:
         return len(self.summands)
 
@@ -127,24 +147,22 @@ class UnitaryRep:
     def langlands_data(self) -> Multisegment:
         """Expand to the Langlands multisegment: for each summand and each
         j = 1..d, the segment centered at x + (d-2j+1)/2 of length a.  With
-        x = p/q, the endpoints are built as integers over the unit 2q."""
+        x = p/q, the endpoints are built as integers over the unit 2q, and
+        ``Segment._run`` reduces them once per summand."""
         segs = []
         for s in self.summands:
             q = s.x.denominator
             unit = 2 * q
             lo = 2 * s.x.numerator + (s.d - s.a) * q  # j = 1: x + (d-1)/2 - (a-1)/2
-            span = (s.a - 1) * unit
-            for _ in range(s.d):
-                segs.append(Segment._from_ints(s.rho, lo, lo + span, unit))
-                lo -= unit
-        return Multisegment(segs)
+            segs += Segment._run(s.rho, lo, lo + (s.a - 1) * unit, unit, s.d)
+        return Multisegment._from_checked(segs)
 
     def az_dual(self) -> "UnitaryRep":
-        """Aubert-Zelevinsky dual: swap a <-> d in every summand."""
-        return UnitaryRep(
-            (ArthurSummand(s.rho, s.d, s.a, s.x) for s in self.summands),
-            _check_pairing=False,
-        )
+        """Aubert-Zelevinsky dual: swap a <-> d in every summand.  The swapped
+        summands keep this representation's checked fields, so they are
+        built and sorted without checking them again."""
+        swap = ArthurSummand._from_checked
+        return UnitaryRep._from_checked([swap(s.rho, s.d, s.a, s.x) for s in self.summands])
 
     def zelevinsky_data(self) -> Multisegment:
         """Zelevinsky multisegment: the Langlands data of the dual."""

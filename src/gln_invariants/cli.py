@@ -25,7 +25,7 @@ from typing import IO, Iterator, Optional, Union
 
 from .arthur import UnitaryRep
 from .bounds import fixed_vector_exponent, hch_coefficient_exponent, relative_exponents
-from .decay import CharacterList, decay_t, expand_blocks
+from .decay import CharacterList, decay_t
 from .partitions import partition_tuples
 from .rationals import InputError, check_positive_int, rat_decimal, rat_str
 from .segments import Multisegment
@@ -123,8 +123,13 @@ def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
 
 def _character_json(xi: CharacterList) -> list[str]:
     """The character's values as exact strings, non-increasing: each block
-    of ``xi.blocks`` is rendered once and repeated."""
-    return expand_blocks((rat_str(Fraction(v, xi.unit)), mult) for v, mult in xi.blocks)
+    of ``xi.blocks`` is rendered once, v/unit reduced by gcd as ``rat_str``
+    reduces it, and repeated."""
+    unit, out = xi.unit, []
+    for v, mult in xi.blocks:
+        k = math.gcd(v, unit)
+        out += [str(v // k) if k == unit else f"{v // k}/{unit // k}"] * mult
+    return out
 
 
 def _report_json(report: InvariantReport) -> dict:

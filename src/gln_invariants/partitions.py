@@ -116,10 +116,14 @@ def dominance_leq(p1: Partition, p2: Partition) -> bool:
 
 def orbit_dim(p: Partition | Iterable[int]) -> int:
     """Dimension of the nilpotent orbit attached to p: N^2 minus the sum of the
-    squares of the dual parts.  Always even and non-negative."""
-    dual = dual_partition(p).parts
-    n = sum(dual)
-    return n * n - sum(c * c for c in dual)
+    squares of the dual parts, read without the dual as the sum of
+    (2k - 1) p_k over the parts p_1 >= p_2 >= ...: dual part j counts the
+    parts >= j, so the squares add up min(p_i, p_k) over ordered pairs of
+    parts, and p_k is the smaller with itself and, twice, with each of the
+    k - 1 parts before it.  Always even and non-negative."""
+    parts = as_parts(p)
+    n = sum(parts)
+    return n * n - sum((2 * i + 1) * q for i, q in enumerate(parts))
 
 
 def partition_tuples(n: int, start: Optional[Iterable[int]] = None) -> Iterator[tuple[int, ...]]:

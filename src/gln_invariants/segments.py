@@ -82,16 +82,26 @@ class Segment:
         object.__setattr__(self, "hi", b.numerator)
 
     @classmethod
-    def _from_ints(cls, rho: SupercuspidalLabel, lo: int, hi: int, unit: int) -> "Segment":
-        """Trusted constructor: the segment <lo/unit, hi/unit>_rho, where
-        unit > 0 and hi - lo is a non-negative multiple of unit."""
+    def _run(cls, rho: SupercuspidalLabel, lo: int, hi: int, unit: int,
+             count: int) -> list["Segment"]:
+        """Trusted constructor of ``count`` segments of one cuspidal line: the
+        first is <lo/unit, hi/unit>_rho, where unit > 0 and hi - lo is a
+        non-negative multiple of unit, and each next one is shifted down by
+        1.  lo moves by the unit, so gcd(lo, unit) is the same for every
+        segment and is divided out once."""
         k = math.gcd(lo, unit)
-        self = object.__new__(cls)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "unit", unit // k)
-        object.__setattr__(self, "lo", lo // k)
-        object.__setattr__(self, "hi", hi // k)
-        return self
+        unit, lo, hi = unit // k, lo // k, hi // k
+        run = []
+        for _ in range(count):
+            self = object.__new__(cls)
+            object.__setattr__(self, "rho", rho)
+            object.__setattr__(self, "unit", unit)
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
+            run.append(self)
+            lo -= unit
+            hi -= unit
+        return run
 
     @property
     def a(self) -> Fraction:
@@ -135,6 +145,14 @@ def check_label_dims(items: Iterable, field: str) -> None:
             raise InputError(field, f"label {rho.id!r} used with inconsistent dimensions")
 
 
+def _sort_canonical(segs: list[Segment]) -> None:
+    """Sort by label, then a descending, then b descending, compared as
+    integers over the lcm of the units: since `precedes` (tests/conftest.py)
+    needs a1 < a2, no earlier segment can precede a later one."""
+    unit = math.lcm(*{s.unit for s in segs})
+    segs.sort(key=lambda s: (s.rho.id, -s.lo * (unit // s.unit), -s.hi * (unit // s.unit)))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Multisegment:
     """Multiset of segments, stored in a canonical order where no earlier
@@ -146,13 +164,19 @@ class Multisegment:
         segs = list(segments)
         if not segs:
             raise InputError("segments", "multisegment must contain at least one segment")
-        # by label, then a descending, then b descending, compared as integers
-        # over the lcm of the units: since `precedes` (tests/conftest.py) needs
-        # a1 < a2, no earlier segment can precede a later one
-        unit = math.lcm(*{s.unit for s in segs})
-        segs.sort(key=lambda s: (s.rho.id, -s.lo * (unit // s.unit), -s.hi * (unit // s.unit)))
+        _sort_canonical(segs)
         check_label_dims(segs, "segments")
         object.__setattr__(self, "segments", tuple(segs))
+
+    @classmethod
+    def _from_checked(cls, segs: list[Segment]) -> "Multisegment":
+        """Trusted constructor: a non-empty list of segments whose labels a
+        constructor has already checked, only sorted into the canonical
+        order (in place)."""
+        _sort_canonical(segs)
+        self = object.__new__(cls)
+        object.__setattr__(self, "segments", tuple(segs))
+        return self
 
     def __len__(self) -> int:
         return len(self.segments)

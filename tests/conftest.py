@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -268,3 +269,48 @@ def running_sum_dominates(a, b):
         if sb > sa:
             return False
     return True
+
+
+def checked_az_dual(pi):
+    """The ``UnitaryRep.az_dual`` that the trusted path replaced, kept as its
+    oracle: each swapped summand goes through ``ArthurSummand``'s checks and
+    the representation through ``UnitaryRep``'s label check."""
+    return UnitaryRep(
+        (ArthurSummand(s.rho, s.d, s.a, s.x) for s in pi.summands), _check_pairing=False
+    )
+
+
+def segment_from_ints(rho, lo, hi, unit):
+    """The trusted constructor ``Segment._from_ints`` that ``Segment._run``
+    replaced, kept for the oracle below: the segment <lo/unit, hi/unit>_rho,
+    where unit > 0 and hi - lo is a non-negative multiple of unit, reduced
+    by its own gcd(lo, unit)."""
+    k = math.gcd(lo, unit)
+    self = object.__new__(Segment)
+    object.__setattr__(self, "rho", rho)
+    object.__setattr__(self, "unit", unit // k)
+    object.__setattr__(self, "lo", lo // k)
+    object.__setattr__(self, "hi", hi // k)
+    return self
+
+
+def per_segment_langlands_data(pi):
+    """The Langlands loop that ``UnitaryRep.langlands_data`` had before it
+    reduced once per summand, kept as its oracle: one ``segment_from_ints``
+    (its own gcd) per segment, and the checked ``Multisegment``."""
+    segs = []
+    for s in pi.summands:
+        q = s.x.denominator
+        unit = 2 * q
+        lo = 2 * s.x.numerator + (s.d - s.a) * q
+        span = (s.a - 1) * unit
+        for _ in range(s.d):
+            segs.append(segment_from_ints(s.rho, lo, lo + span, unit))
+            lo -= unit
+    return Multisegment(segs)
+
+
+def fraction_sort_key(s):
+    """The summand sort key that negated every twist as a ``Fraction``, kept
+    as the oracle of ``arthur._summand_sort_key``."""
+    return (-s.d, -s.a, s.rho.id, -s.x)

@@ -189,6 +189,19 @@ def test_character_rendered_by_block_matches_rendering_each_value(values):
     assert cli._character_json(xi) == [cli.rat_str(v) for v in xi]
 
 
+def test_integer_character_text_is_the_fraction_text():
+    # each block v/unit is reduced by gcd in integers; the oracle builds
+    # Fraction(v, unit) and renders it with rat_str.  Zero, negative and
+    # integral values, and a unit that one block's value does not divide
+    for unit, counts in [(1, {0: 3}), (2, {3: 1, 0: 2, -3: 1}), (12, {24: 1, 6: 2, 1: 1, -12: 2}),
+                         (20, {9: 2, -9: 2}), (6, {-4: 1, -5: 3})]:
+        xi = CharacterList._from_scaled(unit, counts)
+        oracle = [cli.rat_str(Fraction(v, xi.unit)) for v, mult in xi.blocks for _ in range(mult)]
+        assert cli._character_json(xi) == oracle
+    xi = CharacterList._from_scaled(12, {24: 1, 6: 2, 1: 1, 0: 1, -12: 2})
+    assert cli._character_json(xi) == ["2", "1/2", "1/2", "1/12", "0", "-1", "-1"]
+
+
 def test_cached_parser_serves_every_call_as_a_fresh_process(tmp_path, capsys):
     # one parser serves a rejected flag, a rejected input, both output formats
     # and a sweep in turn; each call prints what a fresh process prints

@@ -5,8 +5,12 @@ orders its segments in integers over the lcm of their units, and both
 character routes (``UnitaryRep.character`` and ``Multisegment.character``)
 are built as scaled integers.  The oracles below are the ``Fraction``
 computations those integer paths replaced; every property compares the two.
+The trusted paths of ``az_dual`` and ``langlands_data`` and the summand sort
+key are compared with their checked forms (``conftest``) on the consistency
+sweep's cases.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -15,9 +19,10 @@ from hypothesis import given, settings
 
 from gln_invariants.arthur import ArthurSummand, UnitaryRep
 from gln_invariants.decay import CharacterList
+from gln_invariants import verify
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
-from conftest import multisegments
+from conftest import checked_az_dual, fraction_sort_key, multisegments, per_segment_langlands_data
 
 R = SupercuspidalLabel("r", 1)
 
@@ -103,12 +108,14 @@ def test_canonical_order_and_character_match_fraction_oracles(m):
 
 def test_integer_and_public_constructors_agree():
     public = Segment(R, Fraction(1, 2), Fraction(3, 2))
+    below = Segment(R, Fraction(-1, 2), Fraction(1, 2))
     for lo, hi, unit in ((1, 3, 2), (2, 6, 4), (10, 30, 20)):
-        built = Segment._from_ints(R, lo, hi, unit)
+        built, next_built = Segment._run(R, lo, hi, unit, 2)
         assert built == public and hash(built) == hash(public)
         assert (built.unit, built.lo, built.hi) == (2, 1, 3)
+        assert next_built == below and hash(next_built) == hash(below)
     whole = Segment(R, -2, 1)
-    assert Segment._from_ints(R, -4, 2, 2) == whole and whole.unit == 1
+    assert Segment._run(R, -4, 2, 2, 1) == [whole] and whole.unit == 1
     assert whole.length == 4 and whole.midpoint == Fraction(-1, 2)
 
     values = {Fraction(1, 3): 2, Fraction(-1, 6): 1, Fraction(0): 3}
@@ -118,3 +125,28 @@ def test_integer_and_public_constructors_agree():
         assert built == public and hash(built) == hash(public)
     assert CharacterList._from_scaled(4, {0: 2}) == CharacterList([0, 0])
 
+
+
+def test_trusted_paths_match_the_checked_oracles_on_the_consistency_cases():
+    # every summand multiset of the 3-summand budget (20,824) and 2,000 seeded
+    # cases with +/- twisted pairs: the dual, both Langlands expansions and
+    # the canonical summand order equal the checked paths they replaced
+    budget = verify.ConsistencyBudget(max_summands=3)
+    shapes = verify._consistency_shapes(budget)
+    cases = itertools.chain(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(shapes, k) for k in (1, 2, 3)
+        ),
+        verify._random_cases(budget, 2000, seed=11),
+    )
+    count = twisted = 0
+    for case in cases:
+        pi = verify._rep_from_case(case)
+        dual = pi.az_dual()
+        assert dual == checked_az_dual(pi)
+        for rep in (pi, dual):
+            assert rep.langlands_data() == per_segment_langlands_data(rep)
+            assert list(rep.summands) == sorted(reversed(rep.summands), key=fraction_sort_key)
+        count += 1
+        twisted += not pi.is_arthur_type
+    assert count == 20_824 + 2_000 and twisted > 500

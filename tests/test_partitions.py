@@ -83,6 +83,7 @@ def test_dual_and_orbit_dim_match_per_column_oracle():
             assert dual_partition(parts).parts == dual_per_column(parts)
             assert dual_partition(reversed(parts)).parts == dual_per_column(parts)
             assert orbit_dim(parts) == orbit_dim_per_column(parts)
+            assert orbit_dim(reversed(parts)) == orbit_dim_per_column(parts)
             assert orbit_dim(Partition._from_sorted(parts)) == orbit_dim_per_column(parts)
 
 
