@@ -90,28 +90,26 @@ def _summand_sort_key(s: ArthurSummand):
 class UnitaryRep:
     """Sum of summands in the shape of the unitarizable classification.
 
-    The default constructor enforces that twisted summands occur in +/- pairs
-    with identical (rho, a, d); the private ``_check_pairing=False`` skips
-    that pairing check and admits arbitrary augmented data, on which every
-    formula here is still well-defined.
+    The constructor enforces that twisted summands occur in +/- pairs with
+    identical (rho, a, d).  Every formula here is still well-defined on
+    arbitrary augmented data, which the private ``_from_checked`` admits.
     """
 
     summands: tuple[ArthurSummand, ...]
 
-    def __init__(self, summands: Iterable[ArthurSummand], *, _check_pairing: bool = True):
+    def __init__(self, summands: Iterable[ArthurSummand]):
         ss = tuple(sorted(summands, key=_summand_sort_key))
         if not ss:
             raise InputError("summands", "representation needs at least one summand")
         check_label_dims(ss, "summands")
-        if _check_pairing:
-            twisted = Counter((s.rho, s.a, s.d, s.x) for s in ss if s.x != 0)
-            for (rho, a, d, x), mult in twisted.items():
-                if twisted.get((rho, a, d, -x), 0) != mult:
-                    raise InputError(
-                        "summands",
-                        f"twisted summand {rho.id!r}[{a}][{d}] with x={x} must be "
-                        f"paired with the opposite twist -x"
-                    )
+        twisted = Counter((s.rho, s.a, s.d, s.x) for s in ss if s.x != 0)
+        for (rho, a, d, x), mult in twisted.items():
+            if twisted.get((rho, a, d, -x), 0) != mult:
+                raise InputError(
+                    "summands",
+                    f"twisted summand {rho.id!r}[{a}][{d}] with x={x} must be "
+                    f"paired with the opposite twist -x"
+                )
         object.__setattr__(self, "summands", ss)
 
     @classmethod

@@ -25,9 +25,9 @@ from typing import IO, Iterator, Optional, Union
 
 from .arthur import UnitaryRep
 from .bounds import fixed_vector_exponent, hch_coefficient_exponent, relative_exponents
-from .decay import CharacterList, decay_t
+from .decay import CharacterList, decay_t, expand_blocks
 from .partitions import partition_tuples
-from .rationals import InputError, check_positive_int, rat_decimal, rat_str
+from .rationals import InputError, check_positive_int, rat_decimal, rat_str, ratio_str
 from .segments import Multisegment
 from .verify import (
     MAX_INPUT_N,
@@ -123,13 +123,8 @@ def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
 
 def _character_json(xi: CharacterList) -> list[str]:
     """The character's values as exact strings, non-increasing: each block
-    of ``xi.blocks`` is rendered once, v/unit reduced by gcd as ``rat_str``
-    reduces it, and repeated."""
-    unit, out = xi.unit, []
-    for v, mult in xi.blocks:
-        k = math.gcd(v, unit)
-        out += [str(v // k) if k == unit else f"{v // k}/{unit // k}"] * mult
-    return out
+    of ``xi.blocks`` is rendered once, from its integers, and repeated."""
+    return expand_blocks((ratio_str(v, xi.unit), mult) for v, mult in xi.blocks)
 
 
 def _report_json(report: InvariantReport) -> dict:

@@ -18,6 +18,7 @@ raises :class:`InputError` naming the offending field.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -78,9 +79,16 @@ def parse_rat(value: str | int | Fraction) -> Fraction:
 def rat_str(x: Fraction) -> str:
     """Render exactly: 'p/q', or just 'p' for integers."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return ratio_str(x.numerator, x.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """Render num/den (den > 0) exactly, in lowest terms: 'p/q', or just 'p'
+    for integers."""
+    k = math.gcd(num, den)
+    if k == den:
+        return str(num // k)
+    return f"{num // k}/{den // k}"
 
 
 def rat_decimal(x: Fraction, digits: int = 12) -> str:

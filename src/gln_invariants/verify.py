@@ -28,8 +28,7 @@ the ranks ``range(count)`` of its cases, and each worker enumerates its own
 run from the case at its first rank, so the parent builds none: the
 partitions of N (Arthur and figure), the unitarizable cases by weight
 profile, and the consistency budget's summand multisets followed by its
-seeded random sample, which a chunk starting inside it takes up where the
-parent's one pass over the sample recorded.  Summaries merge as a monoid,
+seeded random sample, redrawn from the seed.  Summaries merge as a monoid,
 so results are independent of the chunking.  Each failure row is the
 ``report_for_rep`` of its representation, the report ``glninv invariants``
 prints, with a note naming the failed checks.  The figure's workers render
@@ -216,19 +215,12 @@ def _chunk_size(total: int, threads: int, floor: int) -> int:
     return max(floor, math.ceil(total / max(1, 4 * threads)))
 
 
-def _sweep(worker, key, ranks: range, threads: int, floor: int, carry=None) -> Iterator:
+def _sweep(worker, key, ranks: range, threads: int, floor: int) -> Iterator:
     """``worker((key, chunk))``, in order, for the case ranks ``ranks`` cut into
-    ranges of at least ``floor``, ~4 per thread; a worker builds its cases.
-    With ``carry``, a function from the chunks' first ranks to one value per
-    chunk, called before any worker runs, each job is ``(key, chunk, value)``."""
+    ranges of at least ``floor``, ~4 per thread; a worker builds its cases."""
     check_positive_int(threads, "threads")
     size = _chunk_size(len(ranks), threads, floor)
-    chunks = [ranks[start : start + size] for start in range(0, len(ranks), size)]
-    if carry is None:
-        jobs = [(key, chunk) for chunk in chunks]
-    else:
-        values = carry([chunk.start for chunk in chunks])
-        jobs = [(key, chunk, value) for chunk, value in zip(chunks, values)]
+    jobs = [(key, ranks[start : start + size]) for start in range(0, len(ranks), size)]
     return _map_chunks(worker, jobs, threads)
 
 
@@ -289,35 +281,34 @@ def _tallies(job) -> Iterator:
     n, ranks = job
     c, sq, p, count = [0] * (n + 2), 0, None, 0
     saved = [None] * (n + 2)  # the scan's state after each level
-    stream, q = _ranked_partitions(job), None
-    try:
-        for count, q in enumerate(stream, start=1):
-            if p is None:
-                for d in q:
-                    c[d] += 1
-                    sq += d * d
-                top, i = q[0], 0
-            else:
-                ones = c[1]
-                i = len(p) - ones - 1
-                top = p[i]
-                c[top] -= 1
-                c[1] = 0
+    for count, q in enumerate(_ranked_partitions(job), start=1):
+        if p is None:
+            for d in q:
+                c[d] += 1
+                sq += d * d
+            top, i = q[0], 0
+        else:
+            ones = c[1]
+            i = len(p) - ones - 1
+            top = p[i]
+            c[top] -= 1
+            c[1] = 0
+            try:  # q is shorter than p's kept prefix, or holds a part above n + 1
                 v, r, m = q[i], q[-1], len(q) - i
                 c[v] += m - 1
                 c[r] += 1
-                sq += (m - 1) * v * v + r * r - top * top - ones
-                if not i:
-                    top = v
-            d1 = q[0]
-            if top == d1:
-                saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
-            tn, td = (d1 - 1, n - c[d1]) if d1 > 1 else (0, 1)
-            scan_n, scan_d = _scan_two_xi(c, n, top, saved)
-            yield q, i, sq, tn, td, scan_n * td == tn * scan_d
-            p = q
-    except IndexError:  # q is shorter than p's kept prefix, or holds a part above n + 1
-        raise RuntimeError(f"part counts drifted from the partition stream at {q}") from None
+            except IndexError as exc:
+                raise RuntimeError(f"part counts drifted from the partition stream at {q}") from exc
+            sq += (m - 1) * v * v + r * r - top * top - ones
+            if not i:
+                top = v
+        d1 = q[0]
+        if top == d1:
+            saved[d1 + 1] = (0, 0, d1 - 1, n - 1, 0, 0)
+        tn, td = (d1 - 1, n - c[d1]) if d1 > 1 else (0, 1)
+        scan_n, scan_d = _scan_two_xi(c, n, top, saved)
+        yield q, i, sq, tn, td, scan_n * td == tn * scan_d
+        p = q
     if p is not None:
         recount = [0] * (n + 2)
         for d in p:
@@ -806,24 +797,19 @@ def _consistency_failure(pi: UnitaryRep, notes: list[str]) -> InvariantReport:
 
 
 def _consistency_exhaustive_chunk(random_cases: int, seed: int, job) -> SweepSummary:
-    """Check the cases at the ranks of ``job`` = (budget, ranks, resume): the
-    summand multisets within the budget, counted before the total-dimension
-    filter, then the seeded sample, which a chunk that starts inside it
-    takes up at ``resume`` (see ``_sample_resumes``).  The ranks consumed
-    are counted before that filter, and must be all of ``job``'s."""
-    budget, ranks, resume = job
-    if resume is None:  # the chunk starts among the multisets
-        shapes = _consistency_shapes(budget)
-        multisets = itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(shapes, k)
-            for k in range(1, budget.max_summands + 1)
-        )
-        stream = itertools.chain(multisets, _random_cases(budget, random_cases, seed))
-        stream = itertools.islice(stream, ranks.start, ranks.stop)
-    else:
-        stream = itertools.islice(_random_cases(budget, random_cases, seed, resume), len(ranks))
+    """Check the cases at the ranks of ``job``: the summand multisets within the
+    budget, counted before the total-dimension filter, then the seeded sample.
+    The ranks consumed are counted before that filter, and must be all of
+    ``job``'s."""
+    budget, ranks = job
+    shapes = _consistency_shapes(budget)
+    multisets = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(shapes, k)
+        for k in range(1, budget.max_summands + 1)
+    )
+    stream = itertools.chain(multisets, _random_cases(budget, random_cases, seed))
     consumed = itertools.count()  # zip draws from it once per case it takes
-    ranked = (case for case, _ in zip(stream, consumed))
+    ranked = (case for case, _ in zip(itertools.islice(stream, ranks.start, ranks.stop), consumed))
     summary = _consistency_random_chunk((budget, filter(budget.admits, ranked)))
     _check_rank_count(next(consumed), ranks)
     return summary
@@ -841,24 +827,14 @@ def _consistency_random_chunk(job) -> SweepSummary:
     return SweepSummary(N=budget.max_total_dim, count=count, failures=failures)
 
 
-def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int, resume=None,
-                  marks: Optional[dict] = None) -> Iterator[tuple]:
-    """The seeded sample's admitted cases in draw order; InputError if too few.
-
-    ``resume`` = (the generator's state, draws made, cases found) takes the
-    sample up at that point.  ``marks`` maps sample indices to None; each is
-    set to the resume point of the case at that index, taken before the
-    draws that lead to it."""
-    rng, first, found = random.Random(seed), 0, 0
-    if resume is not None:
-        state, first, found = resume
-        rng.setstate(state)
-    for draw in range(first, 2000 * max(1, random_cases)):
+def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int) -> Iterator[tuple]:
+    """The seeded sample's admitted cases in draw order; InputError if too few."""
+    rng = random.Random(seed)
+    found = 0
+    for draw in range(2000 * max(1, random_cases)):
         # give up at MAX_SWEEP_CASES draws under half the rate of one case in 2,000
         if found == random_cases or draw == MAX_SWEEP_CASES and 4000 * found < draw:
             break
-        if marks and found in marks and marks[found] is None:
-            marks[found] = rng.getstate(), draw, found
         slots = rng.randint(1, budget.max_summands)
         groups = []
         while slots > 0:
@@ -878,20 +854,6 @@ def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int, resum
             yield case
     if found < random_cases:
         raise InputError("N", "the total-dimension cap leaves too few admissible random cases")
-
-
-def _sample_resumes(budget: ConsistencyBudget, random_cases: int, seed: int, total: int,
-                    starts: list[int]) -> list:
-    """Draw the whole sample once, before any case is checked (InputError if
-    the budget admits too few cases), and return for each chunk's first rank
-    in ``starts`` where its chunk takes up the sample: None when it starts
-    among the ``total`` summand multisets, which run into the sample's start,
-    and otherwise the resume point of ``_random_cases`` at its first rank.
-    So each draw is made once here and once in one chunk."""
-    marks = {start - total: None for start in starts if start >= total}
-    for _ in _random_cases(budget, random_cases, seed, marks=marks):
-        pass
-    return [marks[start - total] if start >= total else None for start in starts]
 
 
 def verify_consistency(
@@ -915,7 +877,8 @@ def verify_consistency(
     multisets = (math.comb(shapes + k - 1, k) for k in range(1, budget.max_summands + 1))
     total = _case_count(multisets, "max_summands")
     _case_count([total, random_cases], "random_cases")
+    for _ in _random_cases(budget, random_cases, seed):  # raises before any check
+        pass
     worker = partial(_consistency_exhaustive_chunk, random_cases, seed)
-    resumes = partial(_sample_resumes, budget, random_cases, seed, total)
-    chunks = _sweep(worker, budget, range(total + random_cases), threads, 2000, resumes)
+    chunks = _sweep(worker, budget, range(total + random_cases), threads, 2000)
     return reduce(SweepSummary.merge, chunks, SweepSummary(N=budget.max_total_dim))

@@ -5,6 +5,8 @@ import hypothesis.strategies as st
 
 from gln_invariants import ArthurSummand, Multisegment, Segment, SupercuspidalLabel, UnitaryRep
 from gln_invariants import verify
+from gln_invariants.rationals import InputError
+from gln_invariants.segments import check_label_dims
 
 labels = st.builds(
     SupercuspidalLabel,
@@ -271,13 +273,22 @@ def running_sum_dominates(a, b):
     return True
 
 
+def unpaired_rep(summands):
+    """A ``UnitaryRep`` of arbitrary augmented data: the constructor's checks
+    but the pairing of twists (at least one summand, one dimension per
+    label), then the trusted constructor."""
+    summands = list(summands)
+    if not summands:
+        raise InputError("summands", "representation needs at least one summand")
+    check_label_dims(summands, "summands")
+    return UnitaryRep._from_checked(summands)
+
+
 def checked_az_dual(pi):
     """The ``UnitaryRep.az_dual`` that the trusted path replaced, kept as its
     oracle: each swapped summand goes through ``ArthurSummand``'s checks and
     the representation through ``UnitaryRep``'s label check."""
-    return UnitaryRep(
-        (ArthurSummand(s.rho, s.d, s.a, s.x) for s in pi.summands), _check_pairing=False
-    )
+    return unpaired_rep(ArthurSummand(s.rho, s.d, s.a, s.x) for s in pi.summands)
 
 
 def segment_from_ints(rho, lo, hi, unit):

@@ -11,7 +11,7 @@ from gln_invariants.partitions import Partition, dual_partition
 from gln_invariants.rationals import InputError
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
-from conftest import arthur_reps, is_negation_symmetric, unitary_reps
+from conftest import arthur_reps, is_negation_symmetric, unitary_reps, unpaired_rep
 
 R1 = SupercuspidalLabel("rho", 1)
 R2 = SupercuspidalLabel("rho", 2)
@@ -24,7 +24,7 @@ def rep(*specs):
         dim, a, d = s[:3]
         x = s[3] if len(s) > 3 else 0
         summands.append(ArthurSummand(SupercuspidalLabel(f"r{i}", dim), a, d, Fraction(x)))
-    return UnitaryRep(summands, _check_pairing=False)
+    return unpaired_rep(summands)
 
 
 def test_summand_validation():
@@ -62,8 +62,8 @@ def test_pairing_enforced_by_default():
         UnitaryRep([twisted])
     paired = UnitaryRep([twisted, ArthurSummand(R1, 1, 2, Fraction(-1, 4))])
     assert paired.N == 4 and not paired.is_arthur_type
-    # without the pairing check the constructor admits arbitrary augmented data
-    assert UnitaryRep([twisted], _check_pairing=False).N == 2
+    # without the pairing check a representation holds arbitrary augmented data
+    assert unpaired_rep([twisted]).N == 2
 
 
 def test_langlands_expansion_examples():

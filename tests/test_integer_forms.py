@@ -17,12 +17,18 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from gln_invariants.arthur import ArthurSummand, UnitaryRep
+from gln_invariants.arthur import ArthurSummand
 from gln_invariants.decay import CharacterList
 from gln_invariants import verify
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
-from conftest import checked_az_dual, fraction_sort_key, multisegments, per_segment_langlands_data
+from conftest import (
+    checked_az_dual,
+    fraction_sort_key,
+    multisegments,
+    per_segment_langlands_data,
+    unpaired_rep,
+)
 
 R = SupercuspidalLabel("r", 1)
 
@@ -82,7 +88,7 @@ def twisted_reps(draw):
                 Fraction(num, den),
             )
         )
-    return UnitaryRep(summands, _check_pairing=False)
+    return unpaired_rep(summands)
 
 
 @settings(max_examples=300)

@@ -284,8 +284,7 @@ def test_consistency_chunk_missing_its_last_case_fails(monkeypatch):
     # the ranks are counted before the total-dimension filter: 2 summand
     # multisets and 2 random cases, of which the stub draws only 1
     real = verify._random_cases
-    monkeypatch.setattr(verify, "_random_cases",
-                        lambda budget, k, *rest, **marks: real(budget, k - 1, *rest, **marks))
+    monkeypatch.setattr(verify, "_random_cases", lambda budget, k, seed: real(budget, k - 1, seed))
     budget = ConsistencyBudget(max_summands=1, max_dim=1, max_a=2, max_d=1, max_total_dim=1)
     with pytest.raises(verify.SweepError) as exc:
         verify_consistency(budget, random_cases=2, threads=1)
@@ -743,28 +742,24 @@ def test_consistency_over_several_chunks_is_thread_independent(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_consistency_jobs_are_ranks_of_one_stream(monkeypatch, threads):
-    # a job is (budget, a range of ranks, resume): the summand multisets,
-    # then the random sample, so the parent ships no case.  A job that
-    # starts inside the sample carries the generator's state, draw count and
-    # found count at its first rank, a few kilobytes; the others carry None
+    # a job is (budget, a range of ranks): the summand multisets, then the
+    # random sample, which a worker redraws from the seed, so the parent
+    # ships no case
     shipped = []
     monkeypatch.setattr(verify, "_map_chunks",
                         lambda worker, jobs, threads: shipped.append(jobs) or iter(()))
     budget = ConsistencyBudget(max_summands=3, max_dim=2, max_a=3, max_d=4, max_total_dim=20)
     verify_consistency(budget, random_cases=6000, seed=5, threads=threads)
     [jobs] = shipped
-    assert len(jobs) > 1 and all(key == budget and type(ranks) is range for key, ranks, _ in jobs)
-    assert [r for _, ranks, _ in jobs for r in ranks] == list(range(2924 + 6000))
-    inside = [(ranks, resume) for _, ranks, resume in jobs if ranks.start >= 2924]
-    assert inside and all(resume[2] == ranks.start - 2924 for ranks, resume in inside)
-    assert all(resume is None for _, ranks, resume in jobs if ranks.start < 2924)
-    assert all(len(pickle.dumps(job)) < (200 if job[2] is None else 4000) for job in jobs)
+    assert len(jobs) > 1 and all(key == budget and type(ranks) is range for key, ranks in jobs)
+    assert [r for _, ranks in jobs for r in ranks] == list(range(2924 + 6000))
+    assert all(len(pickle.dumps(job)) < 200 for job in jobs)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_consistency_chunks_check_the_one_chunk_order(monkeypatch, chunk):
     # 14 summand multisets, 10 of them within the cap, then 30 random cases:
-    # chunks that start inside the sample take it up at their first rank
+    # chunks that start inside the sample redraw it up to their first rank
     checked = []
     real = verify._rep_from_case
     monkeypatch.setattr(verify, "_rep_from_case", lambda case: checked.append(case) or real(case))
@@ -775,40 +770,6 @@ def test_consistency_chunks_check_the_one_chunk_order(monkeypatch, chunk):
     summary = verify_consistency(budget, random_cases=30, seed=4, threads=1)
     assert checked == one_chunk and len(one_chunk) == whole.count == summary.count == 10 + 30
     assert one_chunk[10:] == list(verify._random_cases(budget, 30, seed=4))
-
-
-def test_each_sample_draw_is_made_once_in_the_parent_and_once_in_one_chunk(monkeypatch):
-    # 968 summand multisets (of 16 shapes) and 300 random cases in chunks of
-    # 97 ranks: four chunks start inside the sample.  The parent draws the
-    # sample once and records where each of them takes it up, so every draw
-    # (keyed by the generator's state before it) is made exactly twice: in
-    # the parent, and in the one chunk that holds it.  A job's draw count is
-    # the number of draws the parent made before its state
-    budget = ConsistencyBudget(max_summands=3, max_dim=2, max_a=2, max_d=4, max_total_dim=12)
-    whole = verify_consistency(budget, random_cases=300, seed=6, threads=1)
-    draws, jobs = [], []
-
-    class Counting(verify.random.Random):
-        def randint(self, a, b):
-            if (a, b) == (1, budget.max_summands):  # the first call of each draw
-                draws.append(hash(self.getstate()))
-            return super().randint(a, b)
-
-    real = verify._map_chunks
-    monkeypatch.setattr(verify.random, "Random", Counting)
-    monkeypatch.setattr(verify, "_chunk_size", lambda total, threads, floor: 97)
-    monkeypatch.setattr(verify, "_map_chunks",
-                        lambda worker, chunk_jobs, threads: jobs.extend(chunk_jobs)
-                        or real(worker, chunk_jobs, threads))
-    chunked = verify_consistency(budget, random_cases=300, seed=6, threads=1)
-    assert set(Counter(draws).values()) == {2} and len(draws) > 600
-    parent = draws[: len(draws) // 2]  # the parent's pass runs before any chunk
-    resumes = [resume for _, ranks, resume in jobs if ranks.start >= 968]
-    assert len(resumes) == 4
-    assert [parent.index(hash(state)) for state, _, _ in resumes] == [
-        count for _, count, _ in resumes]
-    pooled = verify_consistency(budget, random_cases=300, seed=6, threads=2)
-    assert whole == chunked == pooled and whole.ok and whole.count > 300
 
 
 def test_too_few_random_cases_raise_before_a_case_is_checked(monkeypatch):
