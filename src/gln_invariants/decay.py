@@ -14,8 +14,11 @@ built only where a value leaves the API.  ``_cut_scan`` compares the cuts
 in integers, every cut for ``decay_t`` and the first half for
 ``maximizer_certificate``; the Arthur sweep's cross-check,
 ``verify._scan_two_xi``, reads the same maximum from a partition's part
-counts, at the end cuts of the character's non-negative blocks, resuming
-from the highest level whose count changed since the previous partition.
+counts, at the end cuts of the character's positive blocks, resuming from
+the highest level whose count changed since the previous partition.  The
+cuts past the zero block mirror earlier ones, and the zero block's own
+cuts share the last positive cut's prefix sum at a w = i(N - i) at least
+as large, so neither can raise the maximum.
 """
 
 from __future__ import annotations

@@ -118,7 +118,10 @@ def max_ratio_blocks(blocks, unit):
     decreasing and every multiplicity positive, as in ``CharacterList.blocks``.
     Returns an unreduced (numerator, denominator) pair; (0, 0) when n < 2,
     as ``decay._max_ratio_scan``.  The oracle of ``verify._scan_two_xi``,
-    which scans only the non-negative half of a symmetric character.
+    which scans only the positive blocks of a symmetric character: the cuts
+    past the zero block mirror earlier ones, and the zero block's own cuts
+    share the last positive cut's prefix sum at a w = i(n - i) at least as
+    large.  This scan compares those cuts too.
 
     On a block that follows cut i0, sigma_i = alpha + v*i with
     alpha = sigma_{i0} - v*i0, so, as 1/(i(n-i)) = (1/i + 1/(n-i))/n, the
@@ -154,6 +157,39 @@ def max_ratio_blocks(blocks, unit):
         i += mult
         sigma += v * mult
     return 2 * best_s, unit * best_w
+
+
+def per_row_arthur_chunk(job):
+    """The loop ``verify._arthur_chunk`` had before it judged each
+    (sq, tn, td) class once, kept as its oracle: both bounds through
+    ``verify._arthur_gaps`` on every row of ``verify._tallies(job)``, a
+    report for every row that fails a check and the least gaps of the
+    rest."""
+    n = job[0]
+    failures = []
+    checked = 0
+    min_low = None  # (num, den) of t - g
+    min_up = None  # (num, den) of g - t^2
+    for parts, _, sq, tn, td, scan_ok in verify._tallies(job):
+        checked += 1
+        low, up = verify._arthur_gaps(n, sq - n, tn, td)
+        if not scan_ok or low[0] < 0 or up[0] < 0:
+            report = verify.report_for_arthur_partition(parts)
+            failures.append(
+                verify._failure_report(report, scan_ok, low[0] >= 0, up[0] >= 0, True)
+            )
+            continue
+        if min_low is None or low[0] * min_low[1] < min_low[0] * low[1]:
+            min_low = low
+        if min_up is None or up[0] * min_up[1] < min_up[0] * up[1]:
+            min_up = up
+    return verify.SweepSummary(
+        N=n,
+        count=checked,
+        failures=failures,
+        min_gap_lower=None if min_low is None else Fraction(*min_low),
+        min_gap_upper=None if min_up is None else Fraction(*min_up),
+    )
 
 
 def fresh_scan(parts):

@@ -20,7 +20,9 @@ from gln_invariants import verify
 from gln_invariants.rationals import InputError, rat_decimal
 from gln_invariants.segments import Multisegment, Segment, SupercuspidalLabel
 
-from conftest import doubled_blocks, fresh_scan, max_ratio_blocks, partitions_from
+from conftest import (
+    doubled_blocks, fresh_scan, max_ratio_blocks, partitions_from, per_row_arthur_chunk,
+)
 from gln_invariants.verify import (
     MAX_INPUT_N,
     MAX_SWEEP_CASES,
@@ -184,17 +186,91 @@ def test_tallies_from_a_random_start_match_recounts(start):
     assert [parts for parts, _ in run] == stream and stream[0] == start
 
 
+def arthur_jobs(monkeypatch, n, threads):
+    """The jobs ``verify_uncertainty_arthur(n, threads)`` maps its chunk
+    worker over."""
+    jobs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_map_chunks", lambda worker, js, threads: jobs.extend(js) or iter(()))
+        verify_uncertainty_arthur(n, threads=threads)
+    return jobs
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_partition_jobs_cover_the_enumeration_in_order(monkeypatch, threads):
-    jobs = []
-    monkeypatch.setattr(verify, "_map_chunks", lambda worker, js, threads: jobs.extend(js) or iter(()))
     for n in range(2, 41):
-        jobs.clear()
-        verify_uncertainty_arthur(n, threads=threads)
+        jobs = arthur_jobs(monkeypatch, n, threads)
         shipped = [parts for job in jobs for parts in verify._ranked_partitions(job)]
         assert shipped == list(partition_tuples(n))
         assert all(key == n and type(ranks) is range for key, ranks in jobs)
         assert [r for _, ranks in jobs for r in ranks] == list(range(partition_count(n)))
+
+
+def test_per_class_arthur_chunk_matches_the_per_row_oracle(monkeypatch):
+    # every N <= 40 in one chunk, and the eight chunks of N = 50 at 2 threads
+    jobs = [(n, partition_ranks(n)) for n in range(2, 41)] + arthur_jobs(monkeypatch, 50, 2)
+    assert len(jobs) == 39 + 8
+    for job in jobs:
+        assert verify._arthur_chunk(job) == per_row_arthur_chunk(job), job
+
+
+def judged_both_ways(monkeypatch, job, install):
+    """``verify._arthur_chunk(job)`` and its per-row oracle, each run with
+    the fault that ``install()`` returns (a name of ``verify`` and its stub),
+    installed afresh for each."""
+    summaries = []
+    for chunk in (verify._arthur_chunk, per_row_arthur_chunk):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, *install())
+            summaries.append(chunk(job))
+    return summaries
+
+
+def test_per_class_arthur_chunk_reports_what_the_oracle_does_under_faults(monkeypatch):
+    n = 24
+    job = (n, partition_ranks(n))
+    rows = [(parts, (sq, tn, td)) for parts, _, sq, tn, td, _ in verify._tallies(job)]
+    keys = [key for _, key in rows]
+    # (1) the scan disagrees on exactly one row, whose class held on
+    # agreeing rows both before and after it: a chunk that skipped a passed
+    # class without the scan's verdict would drop that failure
+    wrong = next(r for r, key in enumerate(keys) if key in keys[:r] and key in keys[r + 1:])
+
+    def scan_wrong_on_one_row():
+        real, calls = verify._scan_two_xi, itertools.count()
+
+        def stub(c, n, top, saved):
+            num, den = real(c, n, top, saved)
+            return (num + 1, den) if next(calls) == wrong else (num, den)
+
+        return "_scan_two_xi", stub
+
+    per_class, per_row = judged_both_ways(monkeypatch, job, scan_wrong_on_one_row)
+    assert per_class == per_row
+    assert [(f.arthur_sl2, f.note) for f in per_class.failures] == [
+        (rows[wrong][0], verify.SCAN_MISMATCH)]
+    # (2) both gaps negative for one class, on each of its rows
+    target = Counter(keys).most_common(1)[0][0]
+
+    def gaps_negative_for_one_class():
+        real = verify._arthur_gaps
+
+        def stub(n, s, tn, td):
+            low, up = real(n, s, tn, td)
+            if (s + n, tn, td) == target:
+                return (-low[0] - 1, low[1]), (-up[0] - 1, up[1])
+            return low, up
+
+        return "_arthur_gaps", stub
+
+    per_class, per_row = judged_both_ways(monkeypatch, job, gaps_negative_for_one_class)
+    assert per_class == per_row
+    assert len(per_class.failures) == keys.count(target) > 1
+    # (3) the scan wrong on every row: all but [n], whose t = 1 the stub gives
+    per_class, per_row = judged_both_ways(
+        monkeypatch, job, lambda: ("_scan_two_xi", lambda c, n, top, saved: (1, 1)))
+    assert per_class == per_row
+    assert per_class.count == len(rows) and len(per_class.failures) == len(rows) - 1
 
 
 def figure_labels(job):
@@ -232,12 +308,12 @@ def test_a_partition_chunk_missing_any_one_partition_fails(monkeypatch, sweep, m
     # run (for example (26), then (24, 2) without (25, 1)), where the part
     # counts of the partition after the gap came out right.  The closing
     # recount of the tallies passed, and the sweep reported one partition
-    # fewer.  Only the count of ranks catches those.  Every other drop of
-    # the Arthur sweep names drifted part counts, also the 27 (for n <= 22)
-    # whose next partition is shorter than the kept prefix, which once raised
-    # a bare IndexError; 5 figure drops for n <= 16 fail earlier, in
-    # rendering, where a drifted sum of squares makes g negative and sqrt
-    # raises ValueError.  The figure, about twice as slow per row, stops at
+    # fewer.  Only the count of ranks catches those.  Every other drop names
+    # drifted part counts, also the 27 (for n <= 22) whose next partition
+    # is shorter than the kept prefix, which once raised a bare IndexError,
+    # and the 5 figure drops for n <= 16 whose drifted sum of squares falls
+    # below n, which once made g negative and raised ValueError from sqrt
+    # in rendering.  The figure, about twice as slow per row, stops at
     # n = 16.  The rows after a gap can fail their checks; their reports are
     # not built
     run = {"arthur": verify_uncertainty_arthur,
@@ -261,7 +337,7 @@ def test_a_partition_chunk_missing_any_one_partition_fails(monkeypatch, sweep, m
             counted = message.endswith(f"enumerated {partition_count(n) - 1} cases for the "
                                        f"{partition_count(n)} ranks from 0")
             drifted = "RuntimeError: part counts drifted from the partition stream at " in message
-            assert counted or drifted or sweep == "figure"
+            assert counted or drifted, message
             missed += counted
     assert missed == silent
 
@@ -366,6 +442,30 @@ def test_half_range_scan_on_edge_shapes(n):
         shapes.append((n // 2, n // 2))
     for parts in shapes:
         assert_half_range_scan_is_exact(tuple(sorted(parts, reverse=True)))
+
+
+@st.composite
+def partitions_of_small_parts(draw, most):
+    """A partition of some n from 2 to ``most``, mostly of parts 1 and 2: up
+    to six larger parts that fit, then twos and ones, so its zero block and
+    the positive blocks above it come in every size."""
+    n = draw(st.integers(2, most))
+    large, rest = [], n
+    for part in draw(st.lists(st.integers(3, max(3, n)), max_size=6)):
+        if part <= rest:
+            large.append(part)
+            rest -= part
+    twos = draw(st.integers(0, rest // 2))
+    return tuple(sorted(large, reverse=True)) + (2,) * twos + (1,) * (rest - 2 * twos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions_of_small_parts(300))
+def test_scan_without_the_zero_block_matches_the_full_block_scan(parts):
+    # beyond the exhaustive tests' n <= 36: the scan that stops above the
+    # zero block against the block scan that also compares its cuts and
+    # the mirrored ones, unreduced
+    assert fresh_scan(parts) == max_ratio_blocks(doubled_blocks(parts), 2), parts
 
 
 @settings(max_examples=200, deadline=None)
