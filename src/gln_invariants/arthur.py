@@ -78,7 +78,7 @@ class ArthurSummand:
     def from_json(cls, data) -> "ArthurSummand":
         rho, a, d = json_fields(data, "rho", "a", "d")
         rho = read_at("rho", SupercuspidalLabel.from_json, rho)
-        return cls(rho, a, d, str(data.get("x", "0")))
+        return cls(rho, a, d, data.get("x", 0))
 
 
 def _summand_sort_key(s: ArthurSummand):

@@ -363,8 +363,8 @@ def _cmd_partitions(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every caller,
-    so none may change it.  Each subcommand stores the name of its ``_cmd_*``
-    handler, not the function: ``main`` looks the name up at each call, so a
+    so none may change it.  It names no handler: ``main`` looks up the
+    command's ``_cmd_*`` function by the command's name at each call, so a
     handler replaced in this module after the first call (a test's
     monkeypatch, a tracing wrapper) is the one that runs."""
     parser = argparse.ArgumentParser(
@@ -390,15 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="invariants of a JSON-described representation")
     common(p, needs_input=True, threads=False)
-    p.set_defaults(handler="_cmd_invariants")
 
     p = sub.add_parser("dual", help="a <-> d duality swap of a unitarizable representation")
     common(p, needs_input=True, threads=False, formats=False)
-    p.set_defaults(handler="_cmd_dual")
 
     p = sub.add_parser("verify-arthur", help="uncertainty sweep over all partitions of N")
     common(p, needs_n=True)
-    p.set_defaults(handler="_cmd_verify_arthur")
 
     p = sub.add_parser("verify-unitary", help="uncertainty sweep over unitarizable shapes")
     common(p, needs_n=True)
@@ -408,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated twists strictly inside (0, 1/2)",
     )
     p.add_argument("--max-summands", type=int, default=3, help="summand-group budget")
-    p.set_defaults(handler="_cmd_verify_unitary")
 
     p = sub.add_parser(
         "verify-consistency",
@@ -421,15 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=int, default=4)
     p.add_argument("--random-cases", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler="_cmd_verify_consistency")
 
     p = sub.add_parser("figure", help="bound-tightness dataset for all partitions of N")
     common(p, needs_n=True, formats=False)
-    p.set_defaults(handler="_cmd_figure")
 
     p = sub.add_parser("partitions", help="stream all partitions of N")
     common(p, needs_n=True, threads=False)
-    p.set_defaults(handler="_cmd_partitions")
 
     return parser
 
@@ -437,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[args.handler](args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

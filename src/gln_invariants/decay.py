@@ -12,13 +12,9 @@ A character has one form, :class:`CharacterList`: integer run-length blocks
 over one common denominator.  The scans read those integers; ``Fraction`` is
 built only where a value leaves the API.  ``_cut_scan`` compares the cuts
 in integers, every cut for ``decay_t`` and the first half for
-``maximizer_certificate``; the Arthur sweep's cross-check,
+``maximizer_certificate``; the partition sweeps' cross-check,
 ``verify._scan_two_xi``, reads the same maximum from a partition's part
-counts, at the end cuts of the character's positive blocks, resuming from
-the highest level whose count changed since the previous partition.  The
-cuts past the zero block mirror earlier ones, and the zero block's own
-cuts share the last positive cut's prefix sum at a w = i(N - i) at least
-as large, so neither can raise the maximum.
+counts (its docstring says which cuts it compares and why).
 """
 
 from __future__ import annotations
@@ -67,26 +63,26 @@ class CharacterList:
                 value = read_at("values", parse_rat, value)
             counts[value] = counts.get(value, 0) + 1
         unit = math.lcm(*(v.denominator for v in counts))
-        blocks = sorted(
-            ((v.numerator * (unit // v.denominator), mult) for v, mult in counts.items()),
-            reverse=True,
-        )
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        self._store(unit, {v.numerator * (unit // v.denominator): m for v, m in counts.items()})
 
     @classmethod
     def _from_scaled(cls, unit: int, counts: Mapping[int, int]) -> "CharacterList":
         """Trusted constructor: the values v/unit with multiplicity
-        counts[v], every multiplicity a positive ``int``.  Dividing out
-        gcd(unit, *values) leaves the lcm of the reduced denominators as the
-        unit, the form the public constructor builds."""
-        k = math.gcd(unit, *counts)
+        counts[v], every multiplicity a positive ``int``."""
         self = object.__new__(cls)
+        self._store(unit, counts)
+        return self
+
+    def _store(self, unit: int, counts: Mapping[int, int]) -> None:
+        """Set the fields from the values v/unit with multiplicity counts[v].
+        Dividing out gcd(unit, *values) leaves the lcm of the reduced
+        denominators as the unit (the public constructor's unit is that lcm
+        already)."""
+        k = math.gcd(unit, *counts)
         object.__setattr__(self, "unit", unit // k)
         object.__setattr__(
             self, "blocks", tuple(sorted(((v // k, m) for v, m in counts.items()), reverse=True))
         )
-        return self
 
     @property
     def values(self) -> tuple[Fraction, ...]:

@@ -19,6 +19,7 @@ raises :class:`InputError` naming the offending field.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Callable
 
@@ -65,15 +66,26 @@ def json_list(data, name: str, reader: Callable) -> list:
     return [read_at(f"{name}[{i}]", reader, item) for i, item in enumerate(items)]
 
 
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
+
+
 def parse_rat(value: str | int | Fraction) -> Fraction:
-    """Read an exact rational: text 'p/q' or 'p' (optionally signed), an
-    ``int`` (not a ``bool``) or a ``Fraction``; a float is not exact."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
-        raise InputError("", f"not an exact rational: {value!r}")
+    """Read an exact rational: an ``int`` (not a ``bool``), a ``Fraction``, or
+    text in one grammar on every Python version: optional surrounding
+    whitespace, an optional sign, then ASCII digits p, 'p/q' with q > 0, or
+    a finite decimal 'p.f' (p or f may be empty, not both).  No exponent,
+    '_', inner space or non-ASCII digit is read, so a short text cannot ask
+    for a huge integer; Python's 4,300-digit limit bounds each integer.  A
+    float is not exact."""
     try:
-        return Fraction(value.strip() if isinstance(value, str) else value)
-    except (ValueError, ZeroDivisionError):
-        raise InputError("", f"not an exact rational: {value!r}") from None
+        if isinstance(value, str):
+            if _RATIONAL_TEXT.fullmatch(value):
+                return Fraction(value)
+        elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):  # an integer past 4,300 digits, or q = 0
+        pass
+    raise InputError("", f"not an exact rational: {value!r}")
 
 
 def rat_str(x: Fraction) -> str:

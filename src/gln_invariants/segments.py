@@ -132,7 +132,7 @@ class Segment:
     @classmethod
     def from_json(cls, data) -> "Segment":
         rho, a, b = json_fields(data, "rho", "a", "b")
-        return cls(read_at("rho", SupercuspidalLabel.from_json, rho), str(a), str(b))
+        return cls(read_at("rho", SupercuspidalLabel.from_json, rho), a, b)
 
 
 def check_label_dims(items: Iterable, field: str) -> None:

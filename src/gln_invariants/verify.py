@@ -1,42 +1,30 @@
 """Exhaustive verification sweeps and figure-dataset generation.
 
-Every check here is an exact statement about rationals or partitions: g <= t
-and the upper bound of ``decay.shifted_decay`` (t^2 <= g for Arthur type,
-(t - 2/N)_+^2 <= g otherwise) are tested by ``report_for_rep``, and in
-integers by ``_arthur_gaps`` on the all-Arthur partition sweeps; the
-closed-form decay parameter is compared against the exact maximum over every
-cut on every Arthur-type case, the figure's rows included (``_scan_two_xi``,
-which scans only the end cuts of the positive blocks: the character is
-negation-symmetric and sums to 0, so sigma_{N-i} = sigma_i and the cuts past
-the zero block mirror earlier ones, and the zero block's cuts never beat
-the last positive cut, whose prefix sum they share at a w = i(N - i) at
-least as large), and the two classification routes to
-the GK-dimension, wavefront set and character are compared as exact
-equalities.  Both partition chunks read one checked stream, ``_tallies``: it
-carries each partition's part counts and sum of d^2 from one partition to
-the next, takes the closed form and runs the scan, which reads only those
-counts and resumes from the highest level whose count changed; it yields
-the position i of the first part that changed, recounts the last partition
-and checks that its run gave one partition per rank.  The figure builds
-each row's label from the label of the kept prefix parts[:i].  Every chunk
-checks that its case stream gave one case per rank it was handed.
-Floats appear only in CSV rendering columns.
+Every check here is an exact statement about rationals or partitions.
+``report_for_rep`` judges one representation: g <= t and the upper bound of
+its class, ``decay.shifted_decay``.  The partition sweeps (Arthur and
+figure) state both bounds in integers through ``_arthur_gaps`` and read one
+checked stream, ``_tallies`` (its docstring gives the bookkeeping), which
+cross-checks the closed-form decay parameter on every partition against
+the exact maximum over every cut, ``_scan_two_xi`` (its docstring proves
+which cuts it may skip).  ``_arthur_chunk`` judges each bound class once;
+``_figure_chunk`` and ``write_figure_csv`` give the figure's labels and row
+order.  The consistency sweep compares the two classification routes to
+the GK-dimension, wavefront set and character as exact equalities.  Floats
+appear only in CSV rendering columns.
 
 Every sweep counts its cases first with ``_case_count``, which rejects more
-than ``MAX_SWEEP_CASES``, and cuts them into chunks with ``_sweep``, mapping
-a worker over them (a ``concurrent.futures`` process pool when
-``threads > 1``); a failed chunk raises ``SweepError``.  Every sweep cuts
-the ranks ``range(count)`` of its cases, and each worker enumerates its own
-run from the case at its first rank, so the parent builds none: the
-partitions of N (Arthur and figure), the unitarizable cases by weight
-profile, and the consistency budget's summand multisets followed by its
-seeded random sample, redrawn from the seed.  Summaries merge as a monoid,
-so results are independent of the chunking.  Each failure row is the
-``report_for_rep`` of its representation, the report ``glninv invariants``
-prints, with a note naming the failed checks.  The figure's workers render
-their chunks' CSV rows from integers, grouped by GK-dimension; the parent
-writes the groups in increasing GK-dimension, chunk by chunk, which is the
-sorted row order without a comparison sort of the rows.
+than ``MAX_SWEEP_CASES``, and cuts their ranks ``range(count)`` into chunks
+with ``_sweep``, mapping a worker over them (a ``concurrent.futures``
+process pool when ``threads > 1``); a failed chunk raises ``SweepError``.
+Each worker enumerates its own run from the case at its first rank, so the
+parent builds none: the partitions of N (Arthur and figure), the
+unitarizable cases by weight profile, and the consistency budget's summand
+multisets followed by its seeded random sample, redrawn from the seed.
+Every chunk checks its stream with ``_check_rank_count``.  Summaries merge
+as a monoid, so results are independent of the chunking.  Each failure row
+is the ``report_for_rep`` of its representation, the report ``glninv
+invariants`` prints, with a note naming the failed checks.
 
 A unitarizable or consistency case is a tuple of shared summand groups: group
 i (from 1) is one ``(dim, a, d, x_num, x_den)`` summand over the label rho{i},
@@ -279,7 +267,8 @@ def _tallies(job) -> Iterator:
     highest level at or below d1 whose count changed.  The last partition
     is recounted, and a count that drifted raises, as does a partition the
     counts cannot take (an index out of range) and a run without one
-    partition per rank."""
+    partition per rank (a run that skipped a partition can leave the counts
+    right)."""
     n, ranks = job
     c, sq, p, count = [0] * (n + 2), 0, None, 0
     saved = [None] * (n + 2)  # the scan's state after each level
@@ -394,10 +383,11 @@ def _scan_two_xi(c: Sequence[int], n: int, top: int, saved: list) -> tuple[int, 
     the seed); its last cut, n - i, mirrors cut i, an equal ratio and not a
     greater one.  For [1^n] no level is scanned and the seed (0, 2(n - 1))
     is the maximum.  On a block after cut i0, sigma_i = alpha + v*i with
-    alpha = sigma_{i0} - v*i0 >= 0 and the ratio is proportional to
-    alpha/i + beta/(n-i), beta = alpha + v*n >= 0 as v > 0: convex, so its
-    maximum over the block is at the block's first or last cut, and only
-    those are compared, in integers.
+    alpha = sigma_{i0} - v*i0, the earlier entries' excess over v, so
+    alpha >= 0 as the values decrease; as 1/(i(n-i)) = (1/i + 1/(n-i))/n,
+    the ratio is proportional to alpha/i + beta/(n-i), beta = alpha + v*n,
+    and beta >= 0 as v > 0: convex, so its maximum over the block is at the
+    block's first or last cut, and only those are compared, in integers.
 
     The pass resumes at level ``top`` from saved[top + 1] and stores in
     saved[k] its state after level k >= 2: (the cut i before the next
@@ -833,23 +823,24 @@ def _consistency_exhaustive_chunk(random_cases: int, seed: int, job) -> SweepSum
         for k in range(1, budget.max_summands + 1)
     )
     stream = itertools.chain(multisets, _random_cases(budget, random_cases, seed))
-    consumed = itertools.count()  # zip draws from it once per case it takes
-    ranked = (case for case, _ in zip(itertools.islice(stream, ranks.start, ranks.stop), consumed))
-    summary = _consistency_random_chunk((budget, filter(budget.admits, ranked)))
-    _check_rank_count(next(consumed), ranks)
+    ranked = itertools.islice(stream, ranks.start, ranks.stop)
+    summary, consumed = _consistency_random_chunk(budget, ranked)
+    _check_rank_count(consumed, ranks)
     return summary
 
 
-def _consistency_random_chunk(job) -> SweepSummary:
-    """Check each case of the iterable by both routes."""
-    budget, cases = job
-    failures, count = [], 0
-    for count, case in enumerate(cases, start=1):
-        pi = _rep_from_case(case)
-        notes = _check_consistency_rep(pi)
-        if notes:
-            failures.append(_consistency_failure(pi, notes))
-    return SweepSummary(N=budget.max_total_dim, count=count, failures=failures)
+def _consistency_random_chunk(budget: ConsistencyBudget, cases) -> tuple[SweepSummary, int]:
+    """Check by both routes each case of ``cases`` that ``budget`` admits;
+    returns (the summary, the number of cases consumed)."""
+    failures, count, consumed = [], 0, 0
+    for consumed, case in enumerate(cases, start=1):
+        if budget.admits(case):
+            count += 1
+            pi = _rep_from_case(case)
+            notes = _check_consistency_rep(pi)
+            if notes:
+                failures.append(_consistency_failure(pi, notes))
+    return SweepSummary(N=budget.max_total_dim, count=count, failures=failures), consumed
 
 
 def _random_cases(budget: ConsistencyBudget, random_cases: int, seed: int) -> Iterator[tuple]:

@@ -117,20 +117,16 @@ def max_ratio_blocks(blocks, unit):
     of the run-length ``blocks`` (value * unit, multiplicity), values
     decreasing and every multiplicity positive, as in ``CharacterList.blocks``.
     Returns an unreduced (numerator, denominator) pair; (0, 0) when n < 2,
-    as ``decay._max_ratio_scan``.  The oracle of ``verify._scan_two_xi``,
-    which scans only the positive blocks of a symmetric character: the cuts
-    past the zero block mirror earlier ones, and the zero block's own cuts
-    share the last positive cut's prefix sum at a w = i(n - i) at least as
-    large.  This scan compares those cuts too.
+    as ``decay._max_ratio_scan``.  The oracle of ``verify._scan_two_xi``:
+    it compares every block's end cuts, also those the scan proves it may
+    skip.
 
-    On a block that follows cut i0, sigma_i = alpha + v*i with
-    alpha = sigma_{i0} - v*i0, so, as 1/(i(n-i)) = (1/i + 1/(n-i))/n, the
-    ratio is proportional to alpha/i + beta/(n-i), where beta = alpha + v*n.
-    Decreasing values make alpha the sum of the earlier entries' excess over
-    v, so alpha >= 0: the ratio is convex on the block when beta >= 0 and
-    decreasing when beta < 0.  Its maximum is therefore at the block's first
-    cut, or at its last cut when beta >= 0 (checked in integers), and only
-    those cuts are compared.
+    On a block the ratio is proportional to alpha/i + beta/(n-i) with
+    alpha >= 0, as ``verify._scan_two_xi`` derives it; here the block's
+    value v may be 0 or negative, so beta = alpha + v*n may be negative,
+    and then the ratio decreases on the block.  Its maximum is therefore at
+    the block's first cut, or at its last cut when beta >= 0 (checked in
+    integers), and only those cuts are compared.
     """
     n = 0
     for _, mult in blocks:

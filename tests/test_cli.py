@@ -228,8 +228,8 @@ def test_cached_parser_serves_every_call_as_a_fresh_process(tmp_path, capsys):
 
 
 def test_command_handler_is_looked_up_at_each_call(tmp_path, capsys, monkeypatch):
-    # the cached parser names its handlers, so one replaced after the first
-    # call is the one the next call runs
+    # main looks up the _cmd_* function by the command's name at each call,
+    # so a handler replaced after the first call is the one the next call runs
     path = write(tmp_path, "speh.json", SPEH)
     assert main(["invariants", "--input", path]) == 0
     first = capsys.readouterr().out
@@ -1050,3 +1050,73 @@ def test_hostile_rationals_exit_2_naming_their_field_at_once(tmp_path, capsys, n
     elapsed = time.perf_counter() - started
     assert (code, capsys.readouterr()) == (2, ("", f"error: {field}: {CAP_ERROR}\n"))
     assert elapsed < 3
+
+
+_RHO_TEXT = '{"id": "a", "dim": 1}'
+
+
+def _summands_text(x, y):
+    """The JSON text of two summands rho[1][1] with the twists x and y, each
+    written into the text as given."""
+    return ('{"summands": [' + ", ".join(
+        f'{{"rho": {_RHO_TEXT}, "a": 1, "d": 1, "x": {v}}}' for v in (x, y)) + "]}")
+
+
+def _segment_text(a, b):
+    return f'{{"segments": [{{"rho": {_RHO_TEXT}, "a": {a}, "b": {b}}}]}}'
+
+
+def test_json_floats_are_rejected_naming_their_field(tmp_path, capsys):
+    # the decoder makes a JSON number with a fraction or an exponent a binary
+    # float, which would round it: 0.1 + 10^-20 read as 1/10, 1/3 to 16
+    # digits, and +-10^-400 as two untwisted summands of Arthur type
+    path = tmp_path / "rep.json"
+    for text, expected in [
+        (_summands_text("0.10000000000000000001", '"-1/10"'), "summands[0].x: 0.1"),
+        (_summands_text("0.33333333333333333333", "-0.33333333333333333333"),
+         "summands[0].x: 0.3333333333333333"),
+        (_summands_text("1e-400", "-1e-400"), "summands[0].x: 0.0"),
+        (_summands_text('"1/4"', "-0.25"), "summands[1].x: -0.25"),
+        (_segment_text("0.5", '"3/2"'), "segments[0].a: 0.5"),
+        (_segment_text('"0"', "1e0"), "segments[0].b: 1.0"),
+        # a JSON null, boolean or list is quoted by its own repr
+        (_summands_text("null", '"0"'), "summands[0].x: None"),
+        (_segment_text("true", '"1"'), "segments[0].a: True"),
+        (_summands_text("[1]", '"0"'), "summands[0].x: [1]"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        assert main(["invariants", "--input", str(path)]) == 2, text
+        field, value = expected.split(": ")
+        assert capsys.readouterr() == ("", f"error: {field}: not an exact rational: {value}\n")
+    # a JSON integer is exact, and read as before
+    path.write_text(_summands_text("0", "-0"), encoding="utf-8")
+    assert main(["invariants", "--input", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["N"], data["arthur_type"]) == (2, True)
+
+
+def test_rationals_outside_the_grammar_exit_2_at_once(tmp_path, capsys):
+    # an exponent once built its power of ten before any check (minutes for
+    # the twist, 18.5 s for the segment), and '1_0/40' and '1 / 4' were read
+    # or rejected by the Python version
+    path = tmp_path / "rep.json"
+    cases = [
+        (["verify-unitary", "--N", "4", "--twist-grid", "1e-100000000"],
+         "twist_grid: not an exact rational: '1e-100000000'"),
+        (["verify-unitary", "--N", "4", "--twist-grid", "1 / 4"],
+         "twist_grid: not an exact rational: '1 / 4'"),
+        (["verify-unitary", "--N", "4", "--twist-grid", "1_0/40"],
+         "twist_grid: not an exact rational: '1_0/40'"),
+        (_summands_text('"1e-100000000"', '"-1e-100000000"'),
+         "summands[0].x: not an exact rational: '1e-100000000'"),
+        (_segment_text('"1e-10000000"', '"1e-10000000"'),
+         "segments[0].a: not an exact rational: '1e-10000000'"),
+    ]
+    for argv, expected in cases:
+        if isinstance(argv, str):
+            path.write_text(argv, encoding="utf-8")
+            argv = ["invariants", "--input", str(path)]
+        started = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - started < 1, argv
+        assert capsys.readouterr() == ("", f"error: {expected}\n")

@@ -16,7 +16,17 @@ from gln_invariants.cli import main
 # an input at the size cap (MAX_INPUT_N) takes about 3 s; a hang does not end
 SECONDS = 10
 
-leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+# rational-shaped texts outside the rational grammar: exponents of up to
+# eight digits (10^99999999 alone takes seconds to build), '_' between
+# digits and spaces inside the number
+exponents = st.integers(1, 8).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1))
+rational_texts = st.one_of(
+    st.tuples(st.sampled_from(["1", "-3", "0.5", "2."]), st.sampled_from("eE"),
+              st.sampled_from(["", "+", "-"]), exponents).map(lambda t: "".join(map(str, t))),
+    st.sampled_from(["1_0/40", "1_000", "-1/2_5", "1 / 4", "1/ 4", "- 1/4", "1 0"]),
+)
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+          | rational_texts)
 json_values = st.recursive(
     leaves,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -77,6 +87,27 @@ def test_any_input_is_exit_0_or_2_without_a_traceback(input_path, command, data)
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=rational_texts, field=st.sampled_from(["x", "a", "b"]))
+def test_a_rational_outside_the_grammar_is_exit_2_naming_its_field(input_path, text, field):
+    # a rep that is well formed but for one rational-shaped text in x, a or b
+    rho = {"id": "r", "dim": 1}
+    if field == "x":
+        data = {"summands": [{"rho": rho, "a": 1, "d": 1, "x": x} for x in (text, "0")]}
+        where = "summands[0].x"
+    else:
+        data = {"segments": [{"rho": rho, "a": "0", "b": "1", field: text}]}
+        where = f"segments[0].{field}"
+    input_path.write_text(json.dumps(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["invariants", "--input", str(input_path)])
+    assert time.perf_counter() - started < SECONDS
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", f"error: {where}: not an exact rational: {text!r}\n")
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import decimal
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,45 @@ def test_parse_and_render_round_trip():
         parse_rat("one half")
     with pytest.raises(ValueError):
         parse_rat("1/0")
+
+
+# (text, value) for text parse_rat reads; the grammar is the same on every
+# Python version
+ACCEPTED_TEXTS = [
+    ("0", 0),
+    ("7", 7),
+    ("-3/4", Fraction(-3, 4)),
+    ("+3/4", Fraction(3, 4)),
+    ("2/8", Fraction(1, 4)),
+    ("007/010", Fraction(7, 10)),
+    (" \t1/2\n", Fraction(1, 2)),
+    ("0.25", Fraction(1, 4)),
+    ("-1.5", Fraction(-3, 2)),
+    ("1.", 1),
+    (".5", Fraction(1, 2)),
+    ("0.10000000000000000001", Fraction(10**19 + 1, 10**20)),
+    ("1/" + "9" * 4300, Fraction(1, 10**4300 - 1)),
+]
+
+# texts outside the grammar: an exponent, '_', an inner space, a non-ASCII
+# digit, a zero denominator, nothing, a bare sign, and an integer past
+# Python's 4,300-digit limit
+REJECTED_TEXTS = [
+    "1e3", "1E3", "1e-100000000", "1.5e-3", "1_0/40", "1_000", "1 / 4", "1/ 4",
+    "- 1", "\u0663/4", "1/\u0664", "1/0", "", "  ", "+", "-", "/4", "1/", ".", "1/2/3",
+    "1.5/2", "1/-4", "0x10", "inf", "nan", "1" * 4301,
+]
+
+
+def test_rational_text_has_one_grammar():
+    for text, value in ACCEPTED_TEXTS:
+        assert parse_rat(text) == value, text
+    for text in REJECTED_TEXTS:
+        started = time.perf_counter()
+        with pytest.raises(InputError) as err:
+            parse_rat(text)
+        assert time.perf_counter() - started < 1, text
+        assert str(err.value) == f"not an exact rational: {text!r}"
 
 
 @pytest.mark.parametrize(
